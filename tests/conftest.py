@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from threebody1d import (
@@ -35,17 +34,3 @@ def spec_calogero():
 @pytest.fixture(scope="session")
 def spec_unitary():
     return ModelSpec(HarmonicTrap(1.0), ContactInteraction(unitary=True))
-
-
-def brute_force_ordered_triples(eps, e_max):
-    """Independent enumeration oracle: all ordered triples with E <= e_max."""
-    eps = np.asarray(eps)
-    out = []
-    n = len(eps)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                e = eps[a] + eps[b] + eps[c]
-                if e <= e_max + 1e-12:
-                    out.append((float(e), (a, b, c)))
-    return out

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_ordered_triples
 from threebody1d.composition import (
     CLASS_SIZE,
     compose_spectrum,
@@ -18,6 +17,20 @@ from threebody1d.composition import (
 from threebody1d.errors import TruncationRisk
 from threebody1d.models import HarmonicTrap, InfiniteWell
 from threebody1d.onebody import analytic_spectrum
+
+
+def brute_force_ordered_triples(eps, e_max):
+    """Independent enumeration oracle: all ordered triples with E <= e_max."""
+    eps = np.asarray(eps)
+    out = []
+    n = len(eps)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                e = eps[a] + eps[b] + eps[c]
+                if e <= e_max + 1e-12:
+                    out.append((float(e), (a, b, c)))
+    return out
 
 
 class TestClasses:
