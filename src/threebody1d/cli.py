@@ -71,13 +71,18 @@ def _require_gamma(spec, kinds, model):
     return inter.gamma
 
 
+def _one_body(spec, emax, floor):
+    """Harmonic one-body levels, enough to fill a window of triples up to
+    emax; at least ``floor + 1`` of them."""
+    omega = _require_omega(spec)
+    return analytic_spectrum(
+        spec.trap, max(floor, int(emax / (spec.hbar * omega)) + 2),
+        mass=spec.mass, hbar=spec.hbar)
+
+
 def _spectrum_csv(spec, model, emax):
     if model == "noninteracting":
-        omega = _require_omega(spec)
-        n_need = max(4, int(emax / (spec.hbar * omega)) + 2)
-        sigma1 = analytic_spectrum(spec.trap, n_need, mass=spec.mass,
-                                   hbar=spec.hbar)
-        return levels_to_csv(compose_spectrum(sigma1, emax))
+        return levels_to_csv(compose_spectrum(_one_body(spec, emax, 4), emax))
     if model == "harm-harm":
         omega = _require_omega(spec)
         gamma = _require_gamma(spec, ("harmonic",), model)
@@ -91,12 +96,10 @@ def _spectrum_csv(spec, model, emax):
                                          hbar=spec.hbar)
         return silver_levels_to_csv("calogero_moser", levels)
     if model == "unitary-contact":
-        omega = _require_omega(spec)
+        _require_omega(spec)
         _require_gamma(spec, ("contact",), model)
-        n_need = max(8, int(emax / (spec.hbar * omega)) + 2)
-        sigma1 = analytic_spectrum(spec.trap, n_need, mass=spec.mass,
-                                   hbar=spec.hbar)
-        return contact_levels_to_csv(unitary_contact_spectrum(sigma1, emax))
+        return contact_levels_to_csv(
+            unitary_contact_spectrum(_one_body(spec, emax, 8), emax))
     raise ConfigError(f"unknown model {model!r}")
 
 
@@ -111,22 +114,17 @@ def cmd_spectrum(args) -> int:
 
 def cmd_irreps(args) -> int:
     spec = load_config(args.config)
-    omega = _require_omega(spec)
+    _require_omega(spec)
     decomps = []
     group = build_group("S3")
     if args.model == "unitary-contact":
         _require_gamma(spec, ("contact",), args.model)
-        sigma1 = analytic_spectrum(
-            spec.trap, max(8, int(args.emax / (spec.hbar * omega)) + 2),
-            mass=spec.mass, hbar=spec.hbar)
-        mats = sector_permutation_rep(group)
-        for lv in unitary_contact_spectrum(sigma1, args.emax):
-            decomps.append((lv.energy, decompose_eigenspace(group, mats, lv.energy)))
+        # every level carries the same six-sector (regular) representation
+        regular = decompose_eigenspace(group, sector_permutation_rep(group))
+        decomps = [(lv.energy, regular) for lv in unitary_contact_spectrum(
+            _one_body(spec, args.emax, 8), args.emax)]
     elif args.model == "noninteracting":
-        sigma1 = analytic_spectrum(
-            spec.trap, max(4, int(args.emax / (spec.hbar * omega)) + 2),
-            mass=spec.mass, hbar=spec.hbar)
-        for lv in compose_spectrum(sigma1, args.emax):
+        for lv in compose_spectrum(_one_body(spec, args.emax, 4), args.emax):
             mats, _ = orbit_rep_for_multisets(lv.multisets, group)
             decomps.append((lv.energy, decompose_eigenspace(group, mats, lv.energy)))
     else:

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TruncationRisk
-from .onebody import OneBodySpectrum
+from .onebody import OneBodySpectrum, _csv_text
 
 CLASS_SIZE = {"nondegenerate": 1, "threefold": 3, "sixfold": 6}
+
+# Relative energy tolerance under which levels of an exact spectrum count
+# as degenerate.
+GROUP_TOLERANCE = 1e-9
 
 
 def multiset_class(ms) -> str:
@@ -50,7 +52,7 @@ def default_group_tolerance(sigma1) -> float:
     distinguished below the discretization error anyway.
     """
     eps, spec = _as_energies(sigma1)
-    base = 1e-9
+    base = GROUP_TOLERANCE
     if spec is not None and spec.source == "grid" and spec.est_error is not None:
         base = max(base, 10.0 * float(np.max(spec.est_error)))
     return base
@@ -60,6 +62,23 @@ def energy_cutoff(e_max: float, tol: float) -> float:
     """Upper edge of an energy window: e_max widened by the grouping
     tolerance, so that a level equal to e_max within ``tol`` is kept."""
     return e_max + tol * max(1.0, abs(e_max))
+
+
+def group_by_energy(entries, tol: float):
+    """Split (energy, item) pairs, sorted by energy, into degenerate runs.
+
+    A run collects every entry within ``tol * max(1, |E0|)`` of its
+    lowest energy E0; the next entry beyond that starts a new run.
+    """
+    group = []
+    for entry in entries:
+        e0 = group[0][0] if group else entry[0]
+        if entry[0] - e0 > tol * max(1.0, abs(e0)):
+            yield group
+            group = []
+        group.append(entry)
+    if group:
+        yield group
 
 
 def compose_spectrum(sigma1, e_max: float, tol_group: float | None = None):
@@ -108,25 +127,14 @@ def compose_spectrum(sigma1, e_max: float, tol_group: float | None = None):
     entries.sort(key=lambda t: (t[0], t[1]))
 
     levels = []
-    pos = 0
-    while pos < len(entries):
-        e0 = entries[pos][0]
-        if e0 > cut:
+    for group in group_by_energy(entries, tol_group):
+        if group[0][0] > cut:
             break
-        group = [entries[pos][1]]
-        pos += 1
-        while pos < len(entries):
-            e = entries[pos][0]
-            if e - e0 > tol_group * max(1.0, abs(e0)):
-                break
-            group.append(entries[pos][1])
-            pos += 1
-        classes = tuple(multiset_class(ms) for ms in group)
-        energy = float(np.mean([eps[a] + eps[b] + eps[c] for a, b, c in group]))
+        classes = tuple(multiset_class(ms) for _, ms in group)
         levels.append(SpectrumLevel(
-            energy=energy,
+            energy=float(np.mean([e for e, _ in group])),
             degeneracy=sum(CLASS_SIZE[c] for c in classes),
-            multisets=tuple(group),
+            multisets=tuple(ms for _, ms in group),
             classes=classes,
             accidental=len(group) > 1,
         ))
@@ -157,11 +165,8 @@ def total_state_count(levels) -> int:
 
 def levels_to_csv(levels) -> str:
     """Columns: E, degeneracy, class_list, accidental."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["E", "degeneracy", "class_list", "accidental"])
-    for lv in levels:
-        tags = ";".join(
-            f"{'+'.join(map(str, ms))}:{c}" for ms, c in zip(lv.multisets, lv.classes))
-        w.writerow([repr(lv.energy), lv.degeneracy, tags, int(lv.accidental)])
-    return buf.getvalue()
+    return _csv_text(["E", "degeneracy", "class_list", "accidental"], (
+        [repr(lv.energy), lv.degeneracy,
+         ";".join(f"{'+'.join(map(str, ms))}:{c}"
+                  for ms, c in zip(lv.multisets, lv.classes)),
+         int(lv.accidental)] for lv in levels))

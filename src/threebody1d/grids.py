@@ -32,8 +32,7 @@ class PolarGrid:
 
     Radial points sit at (i+1)*drho with Dirichlet walls implied at 0
     and rho_max; angular points fill the open interval (phi_min,
-    phi_max) the same way unless ``periodic`` is set, in which case
-    they tile the full circle.
+    phi_max) the same way, with walls implied at both ends.
     """
 
     rho_max: float
@@ -41,7 +40,6 @@ class PolarGrid:
     phi_min: float
     phi_max: float
     n_phi: int
-    periodic: bool = False
 
     @property
     def drho(self) -> float:
@@ -49,17 +47,14 @@ class PolarGrid:
 
     @property
     def dphi(self) -> float:
-        span = self.phi_max - self.phi_min
-        return span / self.n_phi if self.periodic else span / (self.n_phi + 1)
+        return (self.phi_max - self.phi_min) / (self.n_phi + 1)
 
     def rho_points(self) -> np.ndarray:
         return (np.arange(self.n_rho) + 1) * self.drho
 
     def phi_points(self) -> np.ndarray:
-        if self.periodic:
-            return self.phi_min + np.arange(self.n_phi) * self.dphi
         return self.phi_min + (np.arange(self.n_phi) + 1) * self.dphi
 
     def halved(self) -> "PolarGrid":
         return PolarGrid(self.rho_max, self.n_rho // 2, self.phi_min,
-                         self.phi_max, self.n_phi // 2, self.periodic)
+                         self.phi_max, self.n_phi // 2)

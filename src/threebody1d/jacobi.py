@@ -50,13 +50,6 @@ def perm_compose(p, q):
     return tuple(p[q[a] - 1] for a in range(3))
 
 
-def perm_inverse(p):
-    inv = [0, 0, 0]
-    for a in range(3):
-        inv[p[a] - 1] = a + 1
-    return tuple(inv)
-
-
 def perm_sign(p) -> int:
     s = 1
     for i in range(3):
@@ -149,15 +142,14 @@ def parity_action(kind, coords):
 
 def parity_matrix(kind) -> np.ndarray:
     """The corresponding orthogonal matrix on particle coordinates."""
+    if kind == "total":
+        return -np.eye(3)
     blocks = {
-        "total": np.diag([-1.0, -1.0, -1.0]),
         "relative": np.diag([1.0, -1.0, -1.0]),
         "com": np.diag([-1.0, 1.0, 1.0]),
     }
     if kind not in blocks:
         raise ValueError(f"unknown parity kind {kind!r}")
-    if kind == "total":
-        return -np.eye(3)
     # relative / com act diagonally in the Jacobi frame
     return JACOBI_MATRIX.T @ blocks[kind] @ JACOBI_MATRIX
 

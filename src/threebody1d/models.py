@@ -151,13 +151,6 @@ class ContactInteraction:
 
 
 @dataclass(frozen=True)
-class TabulatedInteraction:
-    kind = "custom_tabulated"
-    rs: tuple
-    vs: tuple
-
-
-@dataclass(frozen=True)
 class UnitsConvention:
     mode: str = "natural"  # "natural" (hbar=m=omega=1) or "explicit"
 

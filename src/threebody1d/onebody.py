@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import eig_banded
 
 from .errors import BoxTooSmall, GridMismatch, TooFewPoints, UnsupportedTrap
@@ -33,13 +34,6 @@ class OneBodySpectrum:
     energies: np.ndarray
     source: str  # "analytic" | "grid"
     est_error: np.ndarray | None = None
-
-    @property
-    def n_max(self) -> int:
-        return len(self.energies) - 1
-
-    def __len__(self):
-        return len(self.energies)
 
 
 def analytic_spectrum(trap, n_max: int, *, mass: float = 1.0,
@@ -61,26 +55,30 @@ def analytic_spectrum(trap, n_max: int, *, mass: float = 1.0,
                            est_error=np.zeros(n_max + 1))
 
 
-def _fd_bands(n: int, dx: float, order: int, mass: float, hbar: float):
-    """Lower-band form of the FD kinetic matrix, rows = diagonals 0..b."""
-    k = hbar**2 / (2 * mass * dx**2)
+def kinetic_fd_1d(n: int, dx: float, *, order: int = 4, mass: float = 1.0,
+                  hbar: float = 1.0) -> sp.dia_matrix:
+    """-(hbar^2/2m) d^2/dx^2 with implicit Dirichlet beyond the ends.
+
+    ``order`` 2 is the 3-point stencil, 4 the 5-point one.
+    """
+    c = hbar**2 / (2 * mass * dx**2)
     if order == 2:
-        bands = np.zeros((2, n))
-        bands[0] = 2.0 * k
-        bands[1, :-1] = -1.0 * k
+        coeffs = (2 * c, -c)
     elif order == 4:
-        bands = np.zeros((3, n))
-        bands[0] = (30.0 / 12.0) * k
-        bands[1, :-1] = (-16.0 / 12.0) * k
-        bands[2, :-2] = (1.0 / 12.0) * k
+        coeffs = (30 * c / 12, -16 * c / 12, c / 12)
     else:
         raise ValueError("order must be 2 or 4")
-    return bands
+    offsets = range(1 - len(coeffs), len(coeffs))
+    return sp.diags([np.full(n - abs(k), coeffs[abs(k)]) for k in offsets],
+                    offsets)
 
 
 def _solve_banded(x, v, n_max, order, mass, hbar):
     n = len(x)
-    bands = _fd_bands(n, x[1] - x[0], order, mass, hbar)
+    t = kinetic_fd_1d(n, x[1] - x[0], order=order, mass=mass, hbar=hbar)
+    # lower band form: row k holds the k-th subdiagonal
+    bands = np.array([np.pad(t.diagonal(-k), (0, k))
+                      for k in range(order // 2 + 1)])
     bands[0] += v
     vals, vecs = eig_banded(bands, lower=True, select="i",
                             select_range=(0, n_max))
@@ -151,13 +149,19 @@ def grid_orbitals_1d(trap, grid: Grid1D, n_max: int, *, mass: float = 1.0,
     return vals, orbs, x
 
 
-def spectrum_to_csv(spectrum: OneBodySpectrum) -> str:
-    """Columns: n, energy, source, est_error."""
+def _csv_text(header, rows) -> str:
+    """The package's one CSV table writer: a header row, then ``rows``."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", "energy", "source", "est_error"])
-    err = spectrum.est_error
-    for n, e in enumerate(spectrum.energies):
-        w.writerow([n, repr(float(e)), spectrum.source,
-                    repr(float(err[n])) if err is not None else ""])
+    w.writerow(header)
+    w.writerows(rows)
     return buf.getvalue()
+
+
+def spectrum_to_csv(spectrum: OneBodySpectrum) -> str:
+    """Columns: n, energy, source, est_error."""
+    err = spectrum.est_error
+    return _csv_text(["n", "energy", "source", "est_error"], (
+        [n, repr(float(e)), spectrum.source,
+         repr(float(err[n])) if err is not None else ""]
+        for n, e in enumerate(spectrum.energies)))

@@ -10,15 +10,13 @@ Two solver families cover the in-scope models:
   phi = pi/6 + k*pi/3 are grid-aligned and enforced as Dirichlet walls.
   The substitution u = sqrt(rho) psi keeps the matrix symmetric.
 
-Every eigensolve runs ARPACK in shift-invert mode with a fixed,
-deterministic start vector, so repeated runs are bit-identical.
+Every eigensolve runs ARPACK (shift-invert for the 2D operators, plain
+Lanczos for the 3D ones) with a fixed, deterministic start vector, so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -37,9 +35,7 @@ from .errors import (
 )
 from .grids import Grid1D, PolarGrid
 from .models import ModelSpec
-
-# Angles of the six coincidence half-lines x_i = x_j in the relative plane.
-COINCIDENCE_ANGLES = tuple((2 * k + 1) * math.pi / 6 for k in range(6))
+from .onebody import kinetic_fd_1d
 
 # Prefactor of the Calogero-Moser angular barrier: the three pair terms
 # gamma/(x_i - x_j)^2 sum to (9/2) gamma / (rho^2 cos^2(3 phi)).
@@ -78,11 +74,15 @@ class WaveFunctionGrid:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """Lowest eigenvalues of a grid solve, ascending.
+
+    ``convergence_delta`` is |E - E_halved| per eigenvalue when the
+    solve was refined, else None; ``wall_time`` covers the whole call.
+    """
+
     eigenvalues: np.ndarray
-    eigenvectors: tuple | None  # WaveFunctionGrid per eigenvalue, or None
-    convergence_delta: np.ndarray | None  # |E - E_halved| per eigenvalue
+    convergence_delta: np.ndarray | None
     wall_time: float
-    notes: tuple = ()
 
 
 def _eigsh_deterministic(h, k, mode="shift-invert"):
@@ -106,23 +106,6 @@ def _eigsh_deterministic(h, k, mode="shift-invert"):
                                 maxiter=50 * n, tol=1e-10)
     order = np.argsort(vals)[:k]
     return vals[order], vecs[:, order]
-
-
-def kinetic_fd_1d(n: int, dx: float, *, order: int = 4, mass: float = 1.0,
-                  hbar: float = 1.0) -> sp.spmatrix:
-    """-(hbar^2/2m) d^2/dx^2 with implicit Dirichlet beyond the ends."""
-    c = hbar**2 / (2 * mass * dx**2)
-    if order == 2:
-        return sp.diags(
-            [np.full(n - 1, -c), np.full(n, 2 * c), np.full(n - 1, -c)],
-            [-1, 0, 1])
-    if order == 4:
-        return sp.diags(
-            [np.full(n - 2, c / 12), np.full(n - 1, -16 * c / 12),
-             np.full(n, 30 * c / 12),
-             np.full(n - 1, -16 * c / 12), np.full(n - 2, c / 12)],
-            [-2, -1, 0, 1, 2])
-    raise ValueError("order must be 2 or 4")
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +149,7 @@ def _cartesian_relative_hamiltonian(spec: ModelSpec, grid: Grid1D):
     h = sp.kron(t1, eye) + sp.kron(eye, t1)
     q2, q3 = np.meshgrid(x, x, indexing="ij")
     v = relative_potential_smooth(spec)(q2, q3)
-    return (h + sp.diags(v.ravel())).tocsr(), x
+    return (h + sp.diags(v.ravel())).tocsr()
 
 
 def _polar_relative_hamiltonian(spec: ModelSpec, grid: PolarGrid):
@@ -178,19 +161,7 @@ def _polar_relative_hamiltonian(spec: ModelSpec, grid: PolarGrid):
     n_rho, n_phi = grid.n_rho, grid.n_phi
 
     t_rho = kinetic_fd_1d(n_rho, grid.drho, order=2, mass=m, hbar=hbar)
-    c_phi = hbar**2 / (2 * m * grid.dphi**2)
-    if grid.periodic:
-        t_phi = sp.diags(
-            [np.full(n_phi - 1, -c_phi), np.full(n_phi, 2 * c_phi),
-             np.full(n_phi - 1, -c_phi)], [-1, 0, 1]).tolil()
-        t_phi[0, -1] = -c_phi
-        t_phi[-1, 0] = -c_phi
-        t_phi = t_phi.tocsr()
-    else:
-        t_phi = sp.diags(
-            [np.full(n_phi - 1, -c_phi), np.full(n_phi, 2 * c_phi),
-             np.full(n_phi - 1, -c_phi)], [-1, 0, 1])
-
+    t_phi = kinetic_fd_1d(n_phi, grid.dphi, order=2, mass=m, hbar=hbar)
     inv_r2 = sp.diags(1.0 / rho**2)
     h = sp.kron(t_rho, sp.identity(n_phi)) + sp.kron(inv_r2, t_phi)
 
@@ -202,53 +173,29 @@ def _polar_relative_hamiltonian(spec: ModelSpec, grid: PolarGrid):
                  / (rho[:, None] ** 2 * np.cos(3 * phi[None, :]) ** 2))
     elif not (kind == "contact" and spec.interaction.unitary):
         raise ValueError(f"polar solver does not handle interaction {kind!r}")
-    h = (h + sp.diags(v.ravel())).tocsr()
-
-    keep = None
-    if grid.periodic:
-        # pin the coincidence columns as interior hard walls
-        wall = np.zeros(n_phi, dtype=bool)
-        for ang in COINCIDENCE_ANGLES:
-            j = ang / grid.dphi
-            jr = int(round(j))
-            if abs(j - jr) > 1e-9:
-                raise GridMismatch(
-                    "full-circle grid must place the coincidence angles on "
-                    "grid columns (n_phi divisible by 12)")
-            wall[jr % n_phi] = True
-        keep = np.where(~np.tile(wall, n_rho))[0]
-        h = h[keep][:, keep]
-    return h, keep
+    return (h + sp.diags(v.ravel())).tocsr()
 
 
 def relative_spectrum_2d(spec: ModelSpec, grid=None, k: int = 8, *,
-                         refine: bool = False,
-                         full_circle: bool = False) -> OracleResult:
+                         refine: bool = False) -> OracleResult:
     """Lowest k eigenvalues of the relative two-degree-of-freedom problem.
 
     Smooth interactions (none, harmonic) are solved on a Cartesian
-    (q2, q3) grid; the singular ones (inverse-square, unitary contact)
-    on a polar grid restricted to one ordering sector, or on the pinned
-    full circle when ``full_circle`` is set.  ``refine`` re-solves at
-    half resolution and attaches the per-level delta; for the singular
-    models a delta above 1e-3 relative raises
+    (q2, q3) grid, whose ground state must have decayed at the box edge
+    (else BoxTooSmall); the singular ones (inverse-square, unitary
+    contact) on a polar grid restricted to one ordering sector.
+    ``refine`` re-solves at half resolution and attaches the per-level
+    delta; for the singular models a delta above 1e-3 relative raises
     SingularPotentialUnresolved.
     """
     t0 = time.perf_counter()
     if grid is None:
         grid = default_relative_grid(spec)
-        if full_circle:
-            grid = PolarGrid(grid.rho_max, grid.n_rho, 0.0, 2 * math.pi,
-                             144, periodic=True)
     singular = isinstance(grid, PolarGrid)
-    notes = ()
-    vectors = None
-    if singular:
-        h, _ = _polar_relative_hamiltonian(spec, grid)
-        vals, _ = _eigsh_deterministic(h, k)
-    else:
-        h, x = _cartesian_relative_hamiltonian(spec, grid)
-        vals, vecs = _eigsh_deterministic(h, k)
+    hamiltonian = (_polar_relative_hamiltonian if singular
+                   else _cartesian_relative_hamiltonian)
+    vals, vecs = _eigsh_deterministic(hamiltonian(spec, grid), k)
+    if not singular:
         ground = np.abs(vecs[:, 0].reshape(grid.n, grid.n))
         edge = max(ground[0].max(), ground[-1].max(),
                    ground[:, 0].max(), ground[:, -1].max())
@@ -256,29 +203,17 @@ def relative_spectrum_2d(spec: ModelSpec, grid=None, k: int = 8, *,
             raise BoxTooSmall(
                 f"relative box [{grid.x_min}, {grid.x_max}] too small: edge "
                 f"amplitude {edge / ground.max():.1e} of max")
-        axis = Grid1D(grid.x_min, grid.x_max, grid.n)
-        vectors = tuple(
-            WaveFunctionGrid((axis, axis),
-                             vecs[:, i].reshape(grid.n, grid.n)
-                             / math.sqrt(grid.dx**2) / np.linalg.norm(vecs[:, i]))
-            for i in range(k))
 
     delta = None
     if refine:
-        coarse = grid.halved()
-        if singular:
-            hc, _ = _polar_relative_hamiltonian(spec, coarse)
-        else:
-            hc, _ = _cartesian_relative_hamiltonian(spec, coarse)
-        cvals, _ = _eigsh_deterministic(hc, k)
+        cvals, _ = _eigsh_deterministic(hamiltonian(spec, grid.halved()), k)
         delta = np.abs(vals - cvals)
         if singular and np.any(delta / np.abs(vals) > 1e-3):
             raise SingularPotentialUnresolved(
                 f"grid-halving instability {np.max(delta / np.abs(vals)):.2e} "
                 "relative; refine the polar grid")
-    return OracleResult(eigenvalues=vals, eigenvectors=vectors,
-                        convergence_delta=delta,
-                        wall_time=time.perf_counter() - t0, notes=notes)
+    return OracleResult(eigenvalues=vals, convergence_delta=delta,
+                        wall_time=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +237,6 @@ def _potential_3d(spec: ModelSpec, x: np.ndarray):
     v = np.broadcast_to(v, (len(x),) * 3).astype(float).copy()
     kind = spec.interaction.kind
     masked = False
-    notes = ()
     if kind == "harmonic":
         g = spec.interaction.gamma
         v += g * ((x1 - x2) ** 2 + (x2 - x3) ** 2 + (x3 - x1) ** 2)
@@ -315,21 +249,12 @@ def _potential_3d(spec: ModelSpec, x: np.ndarray):
                 term[~np.isfinite(term)] = 0.0  # masked points are removed anyway
                 v += term
     elif kind == "contact":
-        if spec.interaction.unitary:
-            masked = True
-        else:
-            # finite-gamma stand-in: unit-weight Gaussian of width 2 cells.
-            # This has no controlled continuum limit and is only suitable
-            # for regression fixtures.
-            dx = x[1] - x[0]
-            sigma = 2 * dx
-            g = spec.interaction.gamma
-            norm = 1.0 / (math.sqrt(2 * math.pi) * sigma)
-            for d in ((x1 - x2), (x2 - x3), (x3 - x1)):
-                v += g * norm * np.exp(-(d**2) / (2 * sigma**2))
-            notes = ("finite-gamma contact approximated by a Gaussian of "
-                     "width 2 grid cells",)
-    return v, masked, notes
+        if not spec.interaction.unitary:
+            raise ValueError("the 3D solver handles contact only in the "
+                             "unitary limit: finite gamma has no grid form "
+                             "with a controlled continuum limit")
+        masked = True
+    return v, masked
 
 
 @lru_cache(maxsize=8)
@@ -337,7 +262,7 @@ def _hamiltonian_3d(spec: ModelSpec, grid: Grid1D):
     """Sparse 3D Hamiltonian and keep-indices (None when unmasked)."""
     x = grid.points()
     n = grid.n
-    v, masked, notes = _potential_3d(spec, x)
+    v, masked = _potential_3d(spec, x)
     order = 2 if masked else 4
     t1 = kinetic_fd_1d(n, grid.dx, order=order, mass=spec.mass, hbar=spec.hbar)
     eye = sp.identity(n)
@@ -348,7 +273,7 @@ def _hamiltonian_3d(spec: ModelSpec, grid: Grid1D):
     keep = None
     if masked:
         keep = np.where(~coincidence_mask(n).ravel())[0]
-    return h.tocsr(), keep, notes
+    return h.tocsr(), keep
 
 
 def full_spectrum_3d(spec: ModelSpec, grid: Grid1D, k: int = 4, *,
@@ -359,36 +284,25 @@ def full_spectrum_3d(spec: ModelSpec, grid: Grid1D, k: int = 4, *,
     are exact grid symmetries.  Singular interactions remove the
     coincidence planes as interior hard walls (and drop to the 3-point
     stencil, whose radius-1 neighborhoods never cross a pinned plane).
+    Finite-gamma contact raises ValueError.
     """
     if grid.n > 128:
         raise ResourceBudgetExceeded(f"n per axis {grid.n} > 128")
     if k > 20:
         raise ResourceBudgetExceeded(f"k = {k} > 20")
     t0 = time.perf_counter()
-    h, keep, notes = _hamiltonian_3d(spec, grid)
+    h, keep = _hamiltonian_3d(spec, grid)
     hs = h if keep is None else h[keep][:, keep]
-    vals, vecs = _eigsh_deterministic(hs, k, mode="lanczos")
-    axis = grid
-    vectors = []
-    for i in range(k):
-        full = np.zeros(grid.n**3)
-        if keep is None:
-            full = vecs[:, i]
-        else:
-            full[keep] = vecs[:, i]
-        psi = full.reshape((grid.n,) * 3)
-        psi = psi / (np.linalg.norm(psi) * math.sqrt(grid.dx**3))
-        vectors.append(WaveFunctionGrid((axis, axis, axis), psi))
+    vals, _ = _eigsh_deterministic(hs, k, mode="lanczos")
     delta = None
     if refine:
         coarse = grid.halved()
-        hc, keepc, _ = _hamiltonian_3d(spec, coarse)
+        hc, keepc = _hamiltonian_3d(spec, coarse)
         hcs = hc if keepc is None else hc[keepc][:, keepc]
         cvals, _ = _eigsh_deterministic(hcs, k, mode="lanczos")
         delta = np.abs(vals - cvals)
-    return OracleResult(eigenvalues=vals, eigenvectors=tuple(vectors),
-                        convergence_delta=delta,
-                        wall_time=time.perf_counter() - t0, notes=notes)
+    return OracleResult(eigenvalues=vals, convergence_delta=delta,
+                        wall_time=time.perf_counter() - t0)
 
 
 def apply_hamiltonian(spec: ModelSpec, psi: WaveFunctionGrid) -> WaveFunctionGrid:
@@ -403,7 +317,7 @@ def apply_hamiltonian(spec: ModelSpec, psi: WaveFunctionGrid) -> WaveFunctionGri
     a = psi.axes[0]
     if any(ax != a for ax in psi.axes):
         raise GridMismatch("3D grids must be cubic with identical axes")
-    h, keep, _ = _hamiltonian_3d(spec, a)
+    h, keep = _hamiltonian_3d(spec, a)
     flat = psi.values.ravel().copy()
     if keep is not None:
         mask = np.ones(flat.size, dtype=bool)
@@ -413,35 +327,3 @@ def apply_hamiltonian(spec: ModelSpec, psi: WaveFunctionGrid) -> WaveFunctionGri
     if keep is not None:
         out[mask] = 0.0
     return WaveFunctionGrid(psi.axes, out.reshape(psi.values.shape))
-
-
-def permute_grid_values(values: np.ndarray, perm) -> np.ndarray:
-    """Action of a particle permutation on a cubic-grid wavefunction.
-
-    (U(p) psi)(x) = psi(p^-1 x); on the tensor of samples this permutes
-    the axes: axis a of the result reads axis p(a)-1 of the input.
-    """
-    return np.transpose(values, axes=[p - 1 for p in perm])
-
-
-def eigenvalues_to_csv(result: OracleResult) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["index", "energy", "convergence_delta"])
-    delta = result.convergence_delta
-    for i, e in enumerate(result.eigenvalues):
-        w.writerow([i, repr(float(e)),
-                    repr(float(delta[i])) if delta is not None else ""])
-    return buf.getvalue()
-
-
-def wavefunction_to_json(psi: WaveFunctionGrid) -> str:
-    """Flat JSON with grid metadata header and the amplitude array."""
-    payload = {
-        "axes": [{"min": a.x_min, "max": a.x_max, "n": a.n} for a in psi.axes],
-        "norm_convention": "sum |psi|^2 * cell_volume = 1",
-        "real": np.real(psi.values).ravel().tolist(),
-        "imag": np.imag(psi.values).ravel().tolist()
-        if np.iscomplexobj(psi.values) else None,
-    }
-    return json.dumps(payload)

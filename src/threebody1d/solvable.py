@@ -19,8 +19,6 @@ by the fit protocol below; see the README erratum notes):
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import math
@@ -31,7 +29,8 @@ import numpy as np
 from .composition import default_group_tolerance, energy_cutoff
 from .errors import GridResolutionTooCoarse, TruncationRisk
 from .grids import Grid1D
-from .onebody import OneBodySpectrum
+from .jacobi import perm_sign
+from .onebody import OneBodySpectrum, _csv_text
 
 # Ordering sectors x_i > x_j > x_k, lexicographic in (i, j, k).
 SECTOR_ORDER = (
@@ -157,20 +156,9 @@ class ContactLevel:
         return tuple(SectorState(self.base, eye[i]) for i in range(6))
 
 
-def sector_sign(sector) -> int:
-    """Parity of the ordering permutation of a sector."""
-    s = 1
-    t = list(sector)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if t[i] > t[j]:
-                s = -s
-    return s
-
-
 def fermionic_amplitudes() -> np.ndarray:
     """Sector pattern reproducing the global free-fermion eigenfunction."""
-    return np.array([sector_sign(s) for s in SECTOR_ORDER]) / math.sqrt(6.0)
+    return np.array([perm_sign(s) for s in SECTOR_ORDER]) / math.sqrt(6.0)
 
 
 def bosonic_amplitudes() -> np.ndarray:
@@ -245,7 +233,7 @@ def girardeau_wavefunction(base, amplitudes, orbitals: np.ndarray,
     # Slater determinant via its six product terms
     det = np.zeros((n, n, n))
     for p in itertools.permutations(range(3)):
-        sign = sector_sign(tuple(q + 1 for q in p))
+        sign = perm_sign(tuple(q + 1 for q in p))
         det += sign * (phi[p[0]][:, None, None]
                        * phi[p[1]][None, :, None]
                        * phi[p[2]][None, None, :])
@@ -365,22 +353,16 @@ def silver_levels_to_csv(model: str, levels) -> str:
     groups: dict = {}
     for lv in levels:
         groups.setdefault(round(lv.energy, 9), []).append(lv)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["model", "eta", "nu", "mu", "energy", "degeneracy"])
-    for lv in levels:
-        w.writerow([model, lv.eta, lv.nu, lv.mu, repr(lv.energy),
-                    len(groups[round(lv.energy, 9)])])
-    return buf.getvalue()
+    return _csv_text(["model", "eta", "nu", "mu", "energy", "degeneracy"], (
+        [model, lv.eta, lv.nu, lv.mu, repr(lv.energy),
+         len(groups[round(lv.energy, 9)])] for lv in levels))
 
 
 def contact_levels_to_csv(levels) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["model", "n1", "n2", "n3", "energy", "degeneracy"])
-    for lv in levels:
-        w.writerow(["unitary_contact", *lv.base, repr(lv.energy), lv.degeneracy])
-    return buf.getvalue()
+    """Columns: model, n1, n2, n3, energy, degeneracy."""
+    return _csv_text(["model", "n1", "n2", "n3", "energy", "degeneracy"], (
+        ["unitary_contact", *lv.base, repr(lv.energy), lv.degeneracy]
+        for lv in levels))
 
 
 def sector_state_to_json(state: SectorState) -> str:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .composition import GROUP_TOLERANCE, group_by_energy
 from .errors import NonIntegerMultiplicity, NonInvariantSubspace, NotClosed, NotUnitary
 from .jacobi import (
     PERMUTATIONS,
@@ -42,15 +43,6 @@ class GroupSpec:
 
     def index(self, element) -> int:
         return self.elements.index(element)
-
-    def character(self, irrep: str) -> np.ndarray:
-        return self.irreps[irrep]
-
-    def class_of(self, i: int) -> int:
-        for k, cls in enumerate(self.classes):
-            if i in cls:
-                return k
-        raise ValueError(i)
 
 
 def _conjugacy_classes(table: np.ndarray):
@@ -230,7 +222,6 @@ class IrrepDecomposition:
     dimension: int
 
     def __post_init__(self):
-        g = None  # dims known from bases
         total = sum(b.shape[1] for b in self.bases.values())
         assert total == self.dimension
 
@@ -273,19 +264,6 @@ def decompose_eigenspace(group: GroupSpec, mats: np.ndarray,
             "probably not invariant")
     return IrrepDecomposition(energy=energy, multiplicities=mult,
                               bases=bases, dimension=dim)
-
-
-def check_invariant_subspace(mats_apply, basis: np.ndarray,
-                             tol: float = 1e-8) -> float:
-    """Residual of invariance of span(basis) under the listed operators."""
-    worst = 0.0
-    for apply_g in mats_apply:
-        img = np.column_stack([apply_g(basis[:, k]) for k in range(basis.shape[1])])
-        resid = img - basis @ (basis.conj().T @ img)
-        worst = max(worst, float(np.linalg.norm(resid)))
-    if worst > tol:
-        raise NonInvariantSubspace(f"invariance residual {worst:.2e} > {tol:.0e}")
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +321,17 @@ def irrep_towers(decompositions):
     """Group (energy, decomposition) pairs into per-irrep towers.
 
     Returns {irrep: [(E, multiplicity), ...]} keeping only nonzero
-    multiplicities, ordered by energy.
+    multiplicities, ordered by energy, with one row per energy: pairs
+    whose energies agree within ``GROUP_TOLERANCE`` (the rule of
+    ``compose_spectrum``) merge into one row at their mean energy, with
+    their multiplicities summed.
     """
     towers: dict[str, list] = {}
-    for energy, dec in sorted(decompositions, key=lambda t: t[0]):
-        for label, m in dec.multiplicities.items():
+    ordered = sorted(decompositions, key=lambda t: t[0])
+    for group in group_by_energy(ordered, GROUP_TOLERANCE):
+        energy = float(np.mean([e for e, _ in group]))
+        for label in group[0][1].multiplicities:
+            m = sum(dec.multiplicities[label] for _, dec in group)
             if m > 0:
                 towers.setdefault(label, []).append((energy, m))
     return towers

@@ -196,6 +196,18 @@ class TestTowers:
         assert bosonic_spectrum(towers)[0] == pytest.approx(4.5)
         assert fermionic_spectrum(towers)[0] == pytest.approx(4.5)
 
+    def test_unitary_contact_towers_one_row_per_energy(self, harmonic_sigma1):
+        g = build_group("S3")
+        regular = decompose_eigenspace(g, sector_permutation_rep())
+        levels = unitary_contact_spectrum(harmonic_sigma1, 12.0)
+        towers = irrep_towers([(lv.energy, regular) for lv in levels])
+        # E = 7.5 has the three bases (0,1,5), (0,2,4) and (1,2,3)
+        assert (7.5, 3) in towers["[3]"] and (7.5, 6) in towers["[21]"]
+        for rows in towers.values():
+            energies = [e for e, _ in rows]
+            assert energies == sorted(set(energies))
+        assert sum(m for _, m in towers["[3]"]) == len(levels)
+
     def test_json_export(self):
         g = build_group("S3")
         dec = decompose_eigenspace(g, sector_permutation_rep().astype(complex))
