@@ -11,7 +11,6 @@ corrupts operator products only in those rows.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field

@@ -233,7 +233,7 @@ def girardeau_wavefunction(base, amplitudes, orbitals: np.ndarray,
     # Slater determinant via its six product terms
     det = np.zeros((n, n, n))
     for p in itertools.permutations(range(3)):
-        sign = perm_sign(tuple(q + 1 for q in p))
+        sign = perm_sign(p)
         det += sign * (phi[p[0]][:, None, None]
                        * phi[p[1]][None, :, None]
                        * phi[p[2]][None, None, :])
