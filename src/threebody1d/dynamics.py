@@ -117,12 +117,15 @@ class CheckReport:
                 and self.details.get("negative_control_ok", True))
 
     def to_json(self) -> str:
+        # the default turns numpy scalars in details (a numpy.bool_ from a
+        # comparison, say) into the Python values they hold
         return json.dumps({
             "check": self.check,
             "tolerance": self.tolerance,
             "max_residual": self.max_residual,
             "pass": bool(self.passed),
-        }, sort_keys=True)
+            "details": self.details,
+        }, sort_keys=True, default=np.generic.item)
 
 
 def schmidt_invariance_check(state: TruncatedState, cut: TPSBipartition,

@@ -2,9 +2,13 @@
 
 Closed forms cover the harmonic trap and the infinite well; everything
 else goes through a finite-difference grid diagonalization.  Smooth
-confining traps use a 4th-order stencil (banded, so the eigensolver
-cost stays O(N^2)); hard-wall boxes use the plain 3-point stencil,
-whose eigenvectors on the box are exact discrete sines.
+confining traps use a 4th-order stencil, hard-wall boxes the plain
+3-point one, whose eigenvectors on the box are exact discrete sines.
+Both matrices are banded.  Eigenvalues come from the band reduction
+alone (O(N^2) for N points), never from the N x N eigenvector matrix
+a full solve would build.  Eigenvectors are computed by banded inverse
+iteration (two O(N) band solves each), and only where they are read:
+the box-edge check of ``grid_spectrum_1d`` and ``grid_orbitals_1d``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 # scipy.linalg before scipy.sparse: in this order the package's first
 # scipy import took about 15 ms less (scipy 1.17, 2-core host)
-from scipy.linalg import eig_banded
+from scipy.linalg import eig_banded, solve_banded
 import scipy.sparse as sp
 
 from .errors import BoxTooSmall, GridMismatch, TooFewPoints, UnsupportedTrap
@@ -76,15 +80,47 @@ def kinetic_fd_1d(n: int, dx: float, *, order: int = 4, mass: float = 1.0,
 
 
 def _solve_banded(x, v, n_max, order, mass, hbar):
+    """Lowest n_max+1 eigenvalues and the lower band form of H = T + V."""
     n = len(x)
     t = kinetic_fd_1d(n, x[1] - x[0], order=order, mass=mass, hbar=hbar)
     # lower band form: row k holds the k-th subdiagonal
     bands = np.array([np.pad(t.diagonal(-k), (0, k))
                       for k in range(order // 2 + 1)])
     bands[0] += v
-    vals, vecs = eig_banded(bands, lower=True, select="i",
-                            select_range=(0, n_max))
-    return vals, vecs
+    vals = eig_banded(bands, lower=True, eigvals_only=True, select="i",
+                      select_range=(0, n_max))
+    return vals, bands
+
+
+def _band_eigenvectors(bands, vals):
+    """Unit eigenvectors, one column per eigenvalue in ``vals``, of the
+    symmetric matrix whose lower band form is ``bands``.
+
+    Inverse iteration (Peters & Wilkinson 1971): two solves with
+    H - sigma for each eigenvalue, sigma moved 1e-14 of the matrix scale
+    off it so the LU never meets an exact zero pivot.  Each iterate is
+    orthogonalized against the vectors already found, which keeps a
+    near-degenerate pair apart.  The start vector is fixed but
+    unstructured: a constant one is orthogonal to every odd state of a
+    symmetric trap.
+    """
+    p, n = bands.shape[0] - 1, bands.shape[1]
+    # solve_banded's form holds the superdiagonals too: the mirrored rows
+    ab = np.vstack([np.pad(bands[k, :n - k], (k, 0)) for k in range(p, 0, -1)]
+                   + [bands])
+    shift = 1e-14 * np.max(np.abs(bands))
+    start = np.random.default_rng(2024).standard_normal(n)
+    vecs = np.empty((n, len(vals)))
+    for i, lam in enumerate(vals):
+        a = ab.copy()
+        a[p] -= lam + shift
+        v = start
+        for _ in range(2):
+            v = solve_banded((p, p), a, v)
+            v -= vecs[:, :i] @ (vecs[:, :i].T @ v)
+            v /= np.linalg.norm(v)
+        vecs[:, i] = v
+    return vecs
 
 
 def grid_spectrum_1d(trap, grid: Grid1D, n_max: int, *, mass: float = 1.0,
@@ -93,13 +129,16 @@ def grid_spectrum_1d(trap, grid: Grid1D, n_max: int, *, mass: float = 1.0,
 
     The estimated error attached to each level is the grid-halving
     delta |E(N) - E(N/2)|, a conservative bound for both stencils in
-    use.  Raises BoxTooSmall when the highest requested eigenfunction
-    has not decayed at the box edges.
+    use.  Both grids are solved for eigenvalues only.  Raises
+    BoxTooSmall when any requested eigenfunction has not decayed at the
+    box edges; the fine grid's eigenvectors are computed by inverse
+    iteration for that check alone, and not at all for a hard-wall box.
     """
-    energies, vecs, x = _grid_solve(trap, grid, n_max, mass, hbar)
+    energies, bands, _ = _grid_solve(trap, grid, n_max, mass, hbar)
     half, _, _ = _grid_solve(trap, grid.halved(), n_max, mass, hbar)
     if not isinstance(trap, InfiniteWell):
         # hard walls pin the edges to zero by construction
+        vecs = _band_eigenvectors(bands, energies)
         edge = np.maximum(np.abs(vecs[0]), np.abs(vecs[-1]))
         peak = np.max(np.abs(vecs), axis=0)
         worst = np.max(edge / peak)
@@ -125,12 +164,12 @@ def _grid_solve(trap, grid, n_max, mass, hbar):
         dx = trap.length / (grid.n + 1)
         x = grid.x_min + (np.arange(grid.n) + 1) * dx
         v = np.zeros(grid.n)
-        vals, vecs = _solve_banded(x, v, n_max, 2, mass, hbar)
+        vals, bands = _solve_banded(x, v, n_max, 2, mass, hbar)
     else:
         x = grid.points()
         v = trap.potential(x, mass=mass)
-        vals, vecs = _solve_banded(x, v, n_max, 4, mass, hbar)
-    return vals, vecs, x
+        vals, bands = _solve_banded(x, v, n_max, 4, mass, hbar)
+    return vals, bands, x
 
 
 def grid_orbitals_1d(trap, grid: Grid1D, n_max: int, *, mass: float = 1.0,
@@ -138,12 +177,15 @@ def grid_orbitals_1d(trap, grid: Grid1D, n_max: int, *, mass: float = 1.0,
     """Eigenfunctions on the grid, unit-normalized with the dx weight.
 
     Returns (energies, orbitals, x) with orbitals of shape
-    (n_max+1, len(x)).  The sign convention makes each orbital positive
-    at its first appreciable point, so results are reproducible.
+    (n_max+1, len(x)).  The energies are those ``grid_spectrum_1d``
+    reports for the same grid; the orbitals come from banded inverse
+    iteration at those energies.  The sign convention makes each
+    orbital positive at its first appreciable point, so results are
+    reproducible.
     """
-    vals, vecs, x = _grid_solve(trap, grid, n_max, mass, hbar)
+    vals, bands, x = _grid_solve(trap, grid, n_max, mass, hbar)
     dx = x[1] - x[0]
-    orbs = vecs.T / math.sqrt(dx)
+    orbs = _band_eigenvectors(bands, vals).T / math.sqrt(dx)
     for k in range(orbs.shape[0]):
         j = np.argmax(np.abs(orbs[k]) > 1e-3 * np.max(np.abs(orbs[k])))
         if orbs[k, j] < 0:

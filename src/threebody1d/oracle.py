@@ -257,7 +257,8 @@ def _potential_3d(spec: ModelSpec, x: np.ndarray):
     return v, masked
 
 
-@lru_cache(maxsize=8)
+# 2 covers all reuse: refine's two grids, full_spectrum_3d + apply_hamiltonian
+@lru_cache(maxsize=2)
 def _hamiltonian_3d(spec: ModelSpec, grid: Grid1D):
     """Sparse 3D Hamiltonian and keep-indices (None when unmasked)."""
     x = grid.points()

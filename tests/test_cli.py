@@ -118,3 +118,20 @@ def test_model_mismatching_config_exits_2(configs, tmp_path):
     code, _ = run("spectrum", "--config", configs["noninteracting"],
                   "--model", "calogero", "--emax", EMAX, "--out", tmp_path)
     assert code == 2
+
+
+def test_verify_report_keeps_details(configs, tmp_path):
+    def report(check):
+        out = tmp_path / check
+        code, _ = run("verify", "--config", configs["noninteracting"],
+                      "--check", check, "--out", out)
+        assert code == 0
+        (rep,) = json.loads((out / "report.json").read_text())
+        return rep
+
+    ladder = report("ladder")
+    assert ladder["max_residual"] == max(
+        ladder["details"][k] for k in ("raise", "lower", "so21_commutator"))
+    invariants = report("invariants")["details"]
+    assert invariants["negative_control_ok"] is True
+    assert invariants["negative_control"] > 1e-2

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import diags
 
 from threebody1d.errors import BoxTooSmall, GridMismatch, TooFewPoints, UnsupportedTrap
 from threebody1d.grids import Grid1D
-from threebody1d.models import HarmonicTrap, InfiniteWell, TabulatedTrap
+from threebody1d.models import HarmonicTrap, InfiniteWell, QuadraticTrap, TabulatedTrap
 from threebody1d.onebody import (
     analytic_spectrum,
     grid_orbitals_1d,
     grid_spectrum_1d,
+    kinetic_fd_1d,
     spectrum_to_csv,
 )
 
@@ -17,6 +19,11 @@ from threebody1d.onebody import (
 def quartic_trap(half_width=6.0):
     xs = np.linspace(-half_width, half_width, 4001)
     return TabulatedTrap(tuple(xs), tuple(xs**4))
+
+
+def double_well(half_width=8.0):
+    xs = np.linspace(-half_width, half_width, 4001)
+    return TabulatedTrap(tuple(xs), tuple(2.0 * (xs**2 - 9.0) ** 2 / 9.0))
 
 
 class TestAnalytic:
@@ -80,6 +87,20 @@ class TestGrid:
         with pytest.raises(BoxTooSmall):
             grid_spectrum_1d(HarmonicTrap(1.0), Grid1D(-2.5, 2.5, 256), 5)
 
+    def test_edge_check_covers_every_state(self):
+        # the ground state has decayed at +-7, state 10 has not
+        axis = Grid1D(-7.0, 7.0, 512)
+        grid_spectrum_1d(HarmonicTrap(1.0), axis, 0)
+        with pytest.raises(BoxTooSmall):
+            grid_spectrum_1d(HarmonicTrap(1.0), axis, 10)
+
+    def test_energies_match_dense_eigh(self):
+        trap, axis = QuadraticTrap(0.5, 0.1, 0.2), Grid1D(-16.0, 16.0, 256)
+        spec = grid_spectrum_1d(trap, axis, 10)
+        x = axis.points()
+        dense = np.linalg.eigvalsh(hamiltonian(trap, x).toarray())[:11]
+        np.testing.assert_allclose(spec.energies, dense, rtol=1e-10)
+
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             grid_spectrum_1d(HarmonicTrap(1.0), Grid1D(-8.0, 8.0, 32), 1)
@@ -96,6 +117,31 @@ class TestGrid:
         assert np.max(np.abs(gram - np.eye(5))) < 1e-9
         # ground state of the harmonic trap is a positive gaussian
         assert np.all(orbs[0] > -1e-12)
+        # the trap is even, so orbital k has parity (-1)^k
+        for k in range(5):
+            assert np.allclose(orbs[k][::-1], (-1) ** k * orbs[k], atol=1e-9)
+
+    @pytest.mark.parametrize("trap, axis, n_max", [
+        (QuadraticTrap(0.5, 0.1, 0.2), Grid1D(-16.0, 16.0, 2048), 40),
+        # levels in tunnelling pairs split by 2e-9
+        (double_well(), Grid1D(-8.0, 8.0, 1024), 5),
+    ], ids=["quadratic", "double-well"])
+    def test_orbitals_are_eigenvectors(self, trap, axis, n_max):
+        evals, orbs, x = grid_orbitals_1d(trap, axis, n_max)
+        dx = x[1] - x[0]
+        assert np.max(np.abs(orbs @ orbs.T * dx - np.eye(n_max + 1))) < 1e-9
+        h = hamiltonian(trap, x)
+        for lam, v in zip(evals, orbs):
+            assert np.linalg.norm(h @ v - lam * v) <= 1e-10 * abs(lam) * np.linalg.norm(v)
+        # orbital k has k nodes, so none of the odd states is missing
+        for k, v in enumerate(orbs):
+            v = v[np.abs(v) > 1e-8 * np.max(np.abs(v))]
+            assert np.count_nonzero(np.diff(np.sign(v))) == k
+
+
+def hamiltonian(trap, x):
+    """The grid Hamiltonian, rebuilt from the stencil and the potential."""
+    return kinetic_fd_1d(len(x), x[1] - x[0]) + diags(trap.potential(x))
 
 
 def test_csv_export():
