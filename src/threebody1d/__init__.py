@@ -1,5 +1,9 @@
 """Spectra, symmetries and entanglement structures of three particles in 1D."""
 
+from time import perf_counter as _perf_counter
+
+_import_start = _perf_counter()
+
 __version__ = "0.1.0"
 
 from .models import (
@@ -45,7 +49,6 @@ from .symmetry import (
 from .oracle import (
     OracleResult,
     WaveFunctionGrid,
-    apply_hamiltonian,
     full_spectrum_3d,
     relative_spectrum_2d,
 )
@@ -60,3 +63,6 @@ from .dynamics import (
     schmidt_invariance_check,
     superintegrability_check,
 )
+
+# seconds this file took to import the package; manifest.json records it
+_import_s = _perf_counter() - _import_start

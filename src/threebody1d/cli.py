@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _import_s
 from .composition import compose_spectrum, levels_to_csv
 from .errors import ConfigError, NonIntegerMultiplicity, ThreeBodyError
 from .models import (
@@ -227,6 +227,7 @@ def _write_manifest(args, t0: float):
     manifest = {
         "command": args.command,
         "config": str(args.config),
+        "import_s": round(_import_s, 6),
         "output_dir": str(out),
         "seed": args.seed,
         "tool_version": __version__,

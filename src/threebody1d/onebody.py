@@ -138,16 +138,21 @@ def grid_spectrum_1d(trap, grid: Grid1D, n_max: int, *, mass: float = 1.0,
     half, _, _ = _grid_solve(trap, grid.halved(), n_max, mass, hbar)
     if not isinstance(trap, InfiniteWell):
         # hard walls pin the edges to zero by construction
-        vecs = _band_eigenvectors(bands, energies)
-        edge = np.maximum(np.abs(vecs[0]), np.abs(vecs[-1]))
-        peak = np.max(np.abs(vecs), axis=0)
-        worst = np.max(edge / peak)
-        if worst > 1e-8:
-            raise BoxTooSmall(
-                f"edge amplitude {worst:.2e} of max exceeds 1e-8; "
-                f"enlarge [{grid.x_min}, {grid.x_max}]")
+        _check_box_edges(grid, _band_eigenvectors(bands, energies))
     return OneBodySpectrum(energies=energies, source="grid",
                            est_error=np.abs(energies - half))
+
+
+def _check_box_edges(grid, vecs):
+    """Raise BoxTooSmall when any column of ``vecs`` has not decayed at
+    the box edges."""
+    edge = np.maximum(np.abs(vecs[0]), np.abs(vecs[-1]))
+    peak = np.max(np.abs(vecs), axis=0)
+    worst = np.max(edge / peak)
+    if worst > 1e-8:
+        raise BoxTooSmall(
+            f"edge amplitude {worst:.2e} of max exceeds 1e-8; "
+            f"enlarge [{grid.x_min}, {grid.x_max}]")
 
 
 def _grid_solve(trap, grid, n_max, mass, hbar):
@@ -179,13 +184,15 @@ def grid_orbitals_1d(trap, grid: Grid1D, n_max: int, *, mass: float = 1.0,
     Returns (energies, orbitals, x) with orbitals of shape
     (n_max+1, len(x)).  The energies are those ``grid_spectrum_1d``
     reports for the same grid; the orbitals come from banded inverse
-    iteration at those energies.  The sign convention makes each
-    orbital positive at its first appreciable point, so results are
-    reproducible.
+    iteration at those energies.  Raises BoxTooSmall under the same
+    box-edge check.  The sign convention makes each orbital positive at
+    its first appreciable point, so results are reproducible.
     """
     vals, bands, x = _grid_solve(trap, grid, n_max, mass, hbar)
-    dx = x[1] - x[0]
-    orbs = _band_eigenvectors(bands, vals).T / math.sqrt(dx)
+    vecs = _band_eigenvectors(bands, vals)
+    if not isinstance(trap, InfiniteWell):
+        _check_box_edges(grid, vecs)
+    orbs = vecs.T / math.sqrt(x[1] - x[0])
     for k in range(orbs.shape[0]):
         j = np.argmax(np.abs(orbs[k]) > 1e-3 * np.max(np.abs(orbs[k])))
         if orbs[k, j] < 0:

@@ -10,6 +10,14 @@ Two solver families cover the in-scope models:
   phi = pi/6 + k*pi/3 are grid-aligned and enforced as Dirichlet walls.
   The substitution u = sqrt(rho) psi keeps the matrix symmetric.
 
+The full 3D operator is diagonalized in S3 symmetry blocks, never on
+the whole n^3 cube.  For the singular models the removed coincidence
+planes decouple the six ordering sectors exactly, so the i < j < k
+sector alone is solved and each of its levels counts six times.  The
+smooth models are restricted to orthonormal bases built from orbits of
+grid-index triples: the [3] and [1^3] blocks and one row of the [21]
+irrep, whose levels count twice.
+
 Every eigensolve runs ARPACK (shift-invert for the 2D operators, plain
 Lanczos for the 3D ones) with a fixed, deterministic start vector, so
 repeated runs are bit-identical.
@@ -220,13 +228,6 @@ def relative_spectrum_2d(spec: ModelSpec, grid=None, k: int = 8, *,
 # full 3D problem
 # ---------------------------------------------------------------------------
 
-def coincidence_mask(n: int) -> np.ndarray:
-    """Boolean (n, n, n) mask of grid points with any two coordinates equal."""
-    i = np.arange(n)
-    a, b, c = np.meshgrid(i, i, i, indexing="ij")
-    return (a == b) | (b == c) | (a == c)
-
-
 def _potential_3d(spec: ModelSpec, x: np.ndarray):
     x1 = x[:, None, None]
     x2 = x[None, :, None]
@@ -246,7 +247,7 @@ def _potential_3d(spec: ModelSpec, x: np.ndarray):
         with np.errstate(divide="ignore"):
             for d in ((x1 - x2), (x2 - x3), (x3 - x1)):
                 term = g / d**2
-                term[~np.isfinite(term)] = 0.0  # masked points are removed anyway
+                term[~np.isfinite(term)] = 0.0  # no block reaches masked points
                 v += term
     elif kind == "contact":
         if not spec.interaction.unitary:
@@ -257,10 +258,12 @@ def _potential_3d(spec: ModelSpec, x: np.ndarray):
     return v, masked
 
 
-# 2 covers all reuse: refine's two grids, full_spectrum_3d + apply_hamiltonian
-@lru_cache(maxsize=2)
-def _hamiltonian_3d(spec: ModelSpec, grid: Grid1D):
-    """Sparse 3D Hamiltonian and keep-indices (None when unmasked)."""
+def _cube_hamiltonian(spec: ModelSpec, grid: Grid1D):
+    """Sparse H on the whole n^3 cube, and whether the model is masked.
+
+    A masked model's coincidence points are not removed here: its blocks
+    never reach them (see ``_hamiltonian_3d``).
+    """
     x = grid.points()
     n = grid.n
     v, masked = _potential_3d(spec, x)
@@ -271,10 +274,89 @@ def _hamiltonian_3d(spec: ModelSpec, grid: Grid1D):
          + sp.kron(sp.kron(eye, t1), eye)
          + sp.kron(sp.kron(eye, eye), t1)
          + sp.diags(v.ravel()))
-    keep = None
+    return h.tocsr(), masked
+
+
+def _flat(n, a, b, c):
+    return (a * n + b) * n + c
+
+
+def _ordered_triples(n):
+    """Index arrays (a, b, c) of every grid triple with a < b < c."""
+    i = np.arange(n)
+    a, b, c = np.meshgrid(i, i, i, indexing="ij")
+    keep = (a < b) & (b < c)
+    return a[keep], b[keep], c[keep]
+
+
+def _orbit_basis(n, orbits, coeffs):
+    """Sparse (n^3, m) matrix, one column per orbit, weights ``coeffs``.
+
+    ``orbits`` lists the flat indices of the orbits' members, one array
+    of length m per member; member j of every orbit has weight coeffs[j].
+    """
+    m = len(orbits[0])
+    j = np.flatnonzero(coeffs)
+    rows = np.concatenate([orbits[jj] for jj in j])
+    cols = np.tile(np.arange(m), len(j))
+    return sp.csc_matrix((np.repeat(coeffs[j], m), (rows, cols)),
+                         shape=(n**3, m))
+
+
+@lru_cache(maxsize=4)
+def _irrep_bases(n: int):
+    """Orthonormal bases of the S3 blocks of the n^3 grid, as sparse columns.
+
+    Returns (b3, b111, b21): b3 the normalized orbit sums ([3]); b111
+    the signed orbit sums over distinct triples ([1^3]); b21 one row of
+    the [21] irrep, the (12)-even vectors of each orbit orthogonal to
+    its orbit sum: two per distinct orbit, one per orbit with two equal
+    indices.  They depend on n alone, not on the model.
+    """
+    a, b, c = _ordered_triples(n)
+    # members paired by (12): abc|bac, acb|cab, bca|cba
+    six = [_flat(n, *t) for t in ((a, b, c), (b, a, c), (a, c, b),
+                                  (c, a, b), (b, c, a), (c, b, a))]
+    i = np.arange(n)
+    p, q = np.meshgrid(i, i, indexing="ij")
+    p, q = p[p != q], q[p != q]
+    three = [_flat(n, p, p, q), _flat(n, p, q, p), _flat(n, q, p, p)]
+
+    def basis(*parts):
+        return sp.hstack([_orbit_basis(n, orbits, np.divide(w, math.hypot(*w)))
+                          for orbits, w in parts]).tocsc()
+
+    b3 = basis((six, [1] * 6), (three, [1] * 3), ([_flat(n, i, i, i)], [1]))
+    b111 = basis((six, [1, -1, -1, 1, 1, -1]))
+    b21 = basis((six, [2, 2, -1, -1, -1, -1]), (six, [0, 0, -1, -1, 1, 1]),
+                (three, [2, -1, -1]))
+    return b3, b111, b21
+
+
+# 2 covers all reuse: refine's two grids
+@lru_cache(maxsize=2)
+def _hamiltonian_3d(spec: ModelSpec, grid: Grid1D):
+    """The S3 blocks of the 3D Hamiltonian: ((block, copies), ...).
+
+    A masked model is six identical copies of its i < j < k sector
+    block.  A smooth one splits into [3], [1^3] and [21] blocks; each
+    [21] level appears twice in the full spectrum.
+    """
+    h, masked = _cube_hamiltonian(spec, grid)
     if masked:
-        keep = np.where(~coincidence_mask(n).ravel())[0]
-    return h.tocsr(), keep
+        sector = _flat(grid.n, *_ordered_triples(grid.n))
+        return ((h[sector][:, sector], 6),)
+    b3, b111, b21 = _irrep_bases(grid.n)
+    return tuple(((b.T @ h @ b).tocsr(), copies)
+                 for b, copies in ((b3, 1), (b111, 1), (b21, 2)))
+
+
+def _block_spectrum(blocks, k):
+    """Lowest k levels of the union of the block spectra, with copies."""
+    vals = [np.repeat(_eigsh_deterministic(h, -(-k // copies),
+                                           mode="lanczos")[0], copies)
+            for h, copies in blocks]
+    return np.sort(np.concatenate(vals))[:k]
 
 
 def full_spectrum_3d(spec: ModelSpec, grid: Grid1D, k: int = 4, *,
@@ -282,9 +364,13 @@ def full_spectrum_3d(spec: ModelSpec, grid: Grid1D, k: int = 4, *,
     """Lowest k eigenvalues of the full three-particle discretization.
 
     The grid is cubic with identical axes so that particle permutations
-    are exact grid symmetries.  Singular interactions remove the
-    coincidence planes as interior hard walls (and drop to the 3-point
-    stencil, whose radius-1 neighborhoods never cross a pinned plane).
+    are exact grid symmetries, and H is diagonalized in S3 blocks.
+    Singular interactions remove the coincidence planes as interior hard
+    walls and drop to the 3-point stencil, whose radius-1 neighborhoods
+    never cross a removed plane: the six ordering sectors decouple
+    exactly, so only the i < j < k sector is solved and each of its
+    levels is reported six times.  Smooth interactions are solved in
+    the [3], [1^3] and [21] blocks, each [21] level reported twice.
     Finite-gamma contact raises ValueError.
     """
     if grid.n > 128:
@@ -292,39 +378,10 @@ def full_spectrum_3d(spec: ModelSpec, grid: Grid1D, k: int = 4, *,
     if k > 20:
         raise ResourceBudgetExceeded(f"k = {k} > 20")
     t0 = time.perf_counter()
-    h, keep = _hamiltonian_3d(spec, grid)
-    hs = h if keep is None else h[keep][:, keep]
-    vals, _ = _eigsh_deterministic(hs, k, mode="lanczos")
+    vals = _block_spectrum(_hamiltonian_3d(spec, grid), k)
     delta = None
     if refine:
-        coarse = grid.halved()
-        hc, keepc = _hamiltonian_3d(spec, coarse)
-        hcs = hc if keepc is None else hc[keepc][:, keepc]
-        cvals, _ = _eigsh_deterministic(hcs, k, mode="lanczos")
+        cvals = _block_spectrum(_hamiltonian_3d(spec, grid.halved()), k)
         delta = np.abs(vals - cvals)
     return OracleResult(eigenvalues=vals, convergence_delta=delta,
                         wall_time=time.perf_counter() - t0)
-
-
-def apply_hamiltonian(spec: ModelSpec, psi: WaveFunctionGrid) -> WaveFunctionGrid:
-    """H psi with the same stencil the 3D diagonalization uses.
-
-    Masked models apply P H P with P the projector off the coincidence
-    planes, which is exactly the operator whose submatrix is
-    diagonalized.
-    """
-    if len(psi.axes) != 3:
-        raise GridMismatch("apply_hamiltonian expects a 3D wavefunction")
-    a = psi.axes[0]
-    if any(ax != a for ax in psi.axes):
-        raise GridMismatch("3D grids must be cubic with identical axes")
-    h, keep = _hamiltonian_3d(spec, a)
-    flat = psi.values.ravel().copy()
-    if keep is not None:
-        mask = np.ones(flat.size, dtype=bool)
-        mask[keep] = False
-        flat[mask] = 0.0
-    out = h @ flat
-    if keep is not None:
-        out[mask] = 0.0
-    return WaveFunctionGrid(psi.axes, out.reshape(psi.values.shape))

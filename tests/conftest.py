@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from threebody1d import (
@@ -9,6 +10,7 @@ from threebody1d import (
     NoInteraction,
     analytic_spectrum,
 )
+from threebody1d.oracle import _cube_hamiltonian
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +36,27 @@ def spec_calogero():
 @pytest.fixture(scope="session")
 def spec_unitary():
     return ModelSpec(HarmonicTrap(1.0), ContactInteraction(unitary=True))
+
+
+def coincidence_mask(n: int) -> np.ndarray:
+    """Boolean (n, n, n) mask of grid points with any two coordinates equal."""
+    i = np.arange(n)
+    a, b, c = np.meshgrid(i, i, i, indexing="ij")
+    return (a == b) | (b == c) | (a == c)
+
+
+@pytest.fixture(scope="session")
+def cube_hamiltonian():
+    """(spec, grid) -> (h, keep): the 3D Hamiltonian on the whole n^3 cube.
+
+    ``keep`` holds the flat indices of the points a model keeps: those
+    off the coincidence planes for a masked model, all of them else.
+    H restricted to ``keep`` is the full-grid operator that the block
+    solve of ``full_spectrum_3d`` must reproduce.
+    """
+    def build(spec, grid):
+        h, masked = _cube_hamiltonian(spec, grid)
+        keep = (np.flatnonzero(~coincidence_mask(grid.n).ravel()) if masked
+                else np.arange(grid.n**3))
+        return h, keep
+    return build

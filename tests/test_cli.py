@@ -135,3 +135,14 @@ def test_verify_report_keeps_details(configs, tmp_path):
     invariants = report("invariants")["details"]
     assert invariants["negative_control_ok"] is True
     assert invariants["negative_control"] > 1e-2
+
+
+def test_manifest_records_import_time(configs, tmp_path):
+    import threebody1d
+
+    table_outputs("spectrum", configs["noninteracting"], "noninteracting",
+                  tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(manifest) == {"command", "config", "import_s", "output_dir",
+                             "seed", "tool_version", "wall_time_s"}
+    assert manifest["import_s"] == round(threebody1d._import_s, 6) > 0

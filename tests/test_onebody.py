@@ -87,6 +87,10 @@ class TestGrid:
         with pytest.raises(BoxTooSmall):
             grid_spectrum_1d(HarmonicTrap(1.0), Grid1D(-2.5, 2.5, 256), 5)
 
+    def test_orbitals_box_too_small(self):
+        with pytest.raises(BoxTooSmall):
+            grid_orbitals_1d(HarmonicTrap(1.0), Grid1D(-2.5, 2.5, 256), 5)
+
     def test_edge_check_covers_every_state(self):
         # the ground state has decayed at +-7, state 10 has not
         axis = Grid1D(-7.0, 7.0, 512)

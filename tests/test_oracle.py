@@ -1,8 +1,24 @@
+from math import comb
+
+import numpy as np
 import pytest
 
 from threebody1d.grids import Grid1D
 from threebody1d.models import ContactInteraction, HarmonicTrap, ModelSpec
-from threebody1d.oracle import full_spectrum_3d
+from threebody1d.oracle import (
+    _eigsh_deterministic,
+    _hamiltonian_3d,
+    _irrep_bases,
+    full_spectrum_3d,
+)
+
+MODELS = ("noninteracting", "harm_harm", "unitary", "calogero")
+MASKED = ("unitary", "calogero")
+
+
+def distinct_levels(vals, tol=1e-8):
+    vals = np.sort(vals)
+    return vals[np.r_[True, np.diff(vals) > tol]]
 
 
 class TestFullSpectrum3D:
@@ -16,3 +32,80 @@ class TestFullSpectrum3D:
         spec = ModelSpec(HarmonicTrap(1.0), ContactInteraction(gamma=2.0))
         with pytest.raises(ValueError, match="unitary limit"):
             full_spectrum_3d(spec, Grid1D(-6.0, 6.0, 12))
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_blocks_hold_the_whole_spectrum(self, model, request,
+                                            cube_hamiltonian):
+        # every eigenvalue of the kept-point operator, dense, at n = 8
+        spec = request.getfixturevalue(f"spec_{model}")
+        grid = Grid1D(-4.0, 4.0, 8)
+        h, keep = cube_hamiltonian(spec, grid)
+        full = np.linalg.eigvalsh(h[keep][:, keep].toarray())
+        union = np.sort(np.concatenate([
+            np.repeat(np.linalg.eigvalsh(b.toarray()), copies)
+            for b, copies in _hamiltonian_3d(spec, grid)]))
+        np.testing.assert_allclose(union, full, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_block_union_matches_full_grid(self, model, request,
+                                           cube_hamiltonian):
+        spec = request.getfixturevalue(f"spec_{model}")
+        grid = Grid1D(-6.0, 6.0, 24)
+        h, keep = cube_hamiltonian(spec, grid)
+        full, _ = _eigsh_deterministic(h[keep][:, keep], 10, mode="lanczos")
+        blocks = full_spectrum_3d(spec, grid, k=18).eigenvalues
+        if model in MASKED:
+            # Lanczos on the full grid can drop copies of a sixfold
+            # level, so compare the levels without their copies
+            full, blocks = distinct_levels(full), distinct_levels(blocks)
+        np.testing.assert_allclose(blocks[:len(full)], full, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [12, 32])
+    def test_masked_ground_level_is_sixfold(self, spec_unitary, n):
+        vals = full_spectrum_3d(spec_unitary, Grid1D(-6.0, 6.0, n), k=7).eigenvalues
+        assert np.all(vals[:6] == vals[0])
+        assert vals[6] > vals[0] * (1 + 1e-6)
+
+    def test_refine_solves_the_halved_grid_in_blocks(self, spec_unitary):
+        grid = Grid1D(-6.0, 6.0, 16)
+        result = full_spectrum_3d(spec_unitary, grid, k=6, refine=True)
+        coarse = full_spectrum_3d(spec_unitary, grid.halved(), k=6)
+        np.testing.assert_array_equal(
+            result.convergence_delta,
+            np.abs(result.eigenvalues - coarse.eigenvalues))
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_irrep_bases_are_orthonormal(n):
+    sizes = (comb(n + 2, 3), comb(n, 3), 2 * comb(n, 3) + n * (n - 1))
+    bases = _irrep_bases(n)
+    assert tuple(b.shape[1] for b in bases) == sizes
+    for b in bases:
+        gram = (b.T @ b).toarray()
+        np.testing.assert_allclose(gram, np.eye(b.shape[1]), rtol=0, atol=1e-14)
+    # the three blocks are mutually orthogonal
+    for i in range(3):
+        for j in range(i):
+            assert abs(bases[i].T @ bases[j]).max() < 1e-14
+
+
+def test_irrep_bases_transform_as_their_irreps():
+    n = 5
+    b3, b111, b21 = (b.toarray().reshape(n, n, n, -1) for b in _irrep_bases(n))
+
+    def swap12(v):
+        return v.transpose(1, 0, 2, 3)
+
+    def swap23(v):
+        return v.transpose(0, 2, 1, 3)
+
+    def cycle(v):
+        return v.transpose(1, 2, 0, 3)
+
+    for swap in (swap12, swap23):
+        np.testing.assert_array_equal(swap(b3), b3)
+        np.testing.assert_array_equal(swap(b111), -b111)
+    # one row of [21]: (12)-even, and no 3-cycle-invariant part
+    np.testing.assert_array_equal(swap12(b21), b21)
+    np.testing.assert_allclose(b21 + cycle(b21) + cycle(cycle(b21)), 0,
+                               atol=1e-15)
