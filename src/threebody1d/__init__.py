@@ -39,7 +39,6 @@ from .solvable import (
 )
 from .symmetry import (
     GroupSpec,
-    IrrepDecomposition,
     build_group,
     decompose_eigenspace,
     irrep_towers,

@@ -126,7 +126,7 @@ def cmd_irreps(args) -> int:
     elif args.model == "noninteracting":
         for lv in compose_spectrum(_one_body(spec, args.emax, 4), args.emax):
             mats, _ = orbit_rep_for_multisets(lv.multisets, group)
-            decomps.append((lv.energy, decompose_eigenspace(group, mats, lv.energy)))
+            decomps.append((lv.energy, decompose_eigenspace(group, mats)))
     else:
         raise ConfigError(
             f"irreps supports noninteracting and unitary-contact, got {args.model!r}")

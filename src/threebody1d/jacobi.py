@@ -31,6 +31,8 @@ JACOBI_MATRIX = np.array([
 # slot 2, particle 2 to slot 3, particle 3 to slot 1.  This matches the
 # geometric statements used throughout: (2,1,3) reflects across x1=x2 and
 # maps phi -> pi - phi, while the 3-cycle (2,3,1) rotates phi by +2pi/3.
+# The same tuple orders the six ordering sectors: sector (i, j, k) is the
+# region x_i > x_j > x_k (``solvable.SECTOR_ORDER``).
 PERMUTATIONS = (
     (1, 2, 3),
     (1, 3, 2),

@@ -29,13 +29,9 @@ import numpy as np
 from .composition import default_group_tolerance, energy_cutoff
 from .errors import GridResolutionTooCoarse, TruncationRisk
 from .grids import Grid1D
-from .jacobi import perm_sign
+# ordering sector (i, j, k) is the region x_i > x_j > x_k
+from .jacobi import PERMUTATIONS as SECTOR_ORDER, perm_sign
 from .onebody import OneBodySpectrum, _csv_text
-
-# Ordering sectors x_i > x_j > x_k, lexicographic in (i, j, k).
-SECTOR_ORDER = (
-    (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1),
-)
 
 
 @dataclass(frozen=True)
@@ -204,7 +200,7 @@ def unitary_contact_spectrum(sigma1: OneBodySpectrum, e_max: float):
 
 
 def girardeau_wavefunction(base, amplitudes, orbitals: np.ndarray,
-                           axis: Grid1D, *, check_tol: float = 1e-6):
+                           axis: Grid1D):
     """Sector-patterned eigenfunction of the unitary contact model.
 
     ``orbitals`` holds the one-body eigenfunctions on the axis grid
@@ -253,7 +249,7 @@ def girardeau_wavefunction(base, amplitudes, orbitals: np.ndarray,
 
     plane = (x1 == x2) | (x2 == x3) | (x1 == x3)
     peak = np.max(np.abs(psi))
-    if peak == 0 or np.max(np.abs(psi[plane])) > check_tol * peak:
+    if peak == 0 or np.max(np.abs(psi[plane])) > 1e-6 * peak:
         raise GridResolutionTooCoarse(
             "wavefunction does not vanish on the coincidence manifold")
     wf = WaveFunctionGrid((axis, axis, axis), psi)
@@ -284,22 +280,20 @@ _SECTOR_OFFSETS = np.array([0, 2, 3, 4, 5, 6], dtype=float)
 
 def fit_harm_harm_frequency(omega: float, gamma: float, *,
                             mass: float = 1.0, hbar: float = 1.0,
-                            oracle_levels=None, grid=None) -> CoefficientFit:
+                            grid=None) -> CoefficientFit:
     """Fit omega_rel to the oracle's lowest six relative levels.
 
     Decides between the two candidate radicals sqrt(omega^2 + 4 m gamma)
     and sqrt(omega^2 + 6 gamma / m); the second is the one derived from
     the Hamiltonian and is what the package ships.
     """
-    if oracle_levels is None:
-        from .models import HarmonicInteraction, HarmonicTrap, ModelSpec, NoInteraction
-        from .oracle import relative_spectrum_2d
+    from .models import HarmonicInteraction, HarmonicTrap, ModelSpec, NoInteraction
+    from .oracle import relative_spectrum_2d
 
-        inter = HarmonicInteraction(gamma) if gamma > 0 else NoInteraction()
-        spec = ModelSpec(trap=HarmonicTrap(omega), interaction=inter,
-                         mass=mass, hbar=hbar)
-        oracle_levels = relative_spectrum_2d(spec, grid=grid, k=6).eigenvalues
-    e = np.asarray(oracle_levels, dtype=float)[:6]
+    inter = HarmonicInteraction(gamma) if gamma > 0 else NoInteraction()
+    spec = ModelSpec(trap=HarmonicTrap(omega), interaction=inter,
+                     mass=mass, hbar=hbar)
+    e = relative_spectrum_2d(spec, grid=grid, k=6).eigenvalues[:6]
     m = _OSC2D_PATTERN
     w_fit = float(np.dot(m, e) / np.dot(m, m)) / hbar
     resid = float(np.sqrt(np.mean((e - hbar * w_fit * m) ** 2)))
@@ -312,8 +306,7 @@ def fit_harm_harm_frequency(omega: float, gamma: float, *,
 
 
 def fit_cm_exponent(omega: float, gamma: float, *, mass: float = 1.0,
-                    hbar: float = 1.0, oracle_levels=None,
-                    grid=None) -> CoefficientFit:
+                    hbar: float = 1.0, grid=None) -> CoefficientFit:
     """Fit the Calogero-Moser angular exponent from sector oracle levels.
 
     The sector relative spectrum is hbar*omega*(2 nu + 3 j + 3 alpha + 1);
@@ -322,15 +315,13 @@ def fit_cm_exponent(omega: float, gamma: float, *, mass: float = 1.0,
     the printed radical sqrt(1 + 2 m^2 gamma) and the derived
     sqrt(1 + 4 m gamma / hbar^2).
     """
-    if oracle_levels is None:
-        from .models import HarmonicTrap, InverseSquareInteraction, ModelSpec
-        from .oracle import relative_spectrum_2d
+    from .models import HarmonicTrap, InverseSquareInteraction, ModelSpec
+    from .oracle import relative_spectrum_2d
 
-        spec = ModelSpec(trap=HarmonicTrap(omega),
-                         interaction=InverseSquareInteraction(gamma),
-                         mass=mass, hbar=hbar)
-        oracle_levels = relative_spectrum_2d(spec, grid=grid, k=6).eigenvalues
-    e = np.asarray(oracle_levels, dtype=float)[:6]
+    spec = ModelSpec(trap=HarmonicTrap(omega),
+                     interaction=InverseSquareInteraction(gamma),
+                     mass=mass, hbar=hbar)
+    e = relative_spectrum_2d(spec, grid=grid, k=6).eigenvalues[:6]
     const = float(np.mean(e / (hbar * omega) - _SECTOR_OFFSETS))
     alpha_fit = (const - 1.0) / 3.0
     resid = float(np.sqrt(np.mean(

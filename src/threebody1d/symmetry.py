@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -214,22 +215,9 @@ def project(group: GroupSpec, irrep: str, mats: np.ndarray,
     return u[:, :rank]
 
 
-@dataclass(frozen=True)
-class IrrepDecomposition:
-    energy: float | None
-    multiplicities: dict  # irrep label -> int
-    bases: dict  # irrep label -> orthonormal columns spanning the component
-    dimension: int
-
-    def __post_init__(self):
-        total = sum(b.shape[1] for b in self.bases.values())
-        assert total == self.dimension
-
-
 def decompose_eigenspace(group: GroupSpec, mats: np.ndarray,
-                         energy: float | None = None,
-                         tol: float = 1e-6) -> IrrepDecomposition:
-    """Irrep multiplicities of an invariant (eigen)space.
+                         tol: float = 1e-6) -> dict:
+    """Irrep multiplicities {label: m} of an invariant (eigen)space.
 
     m_mu = (1/|G|) sum_g chi_mu(g)* tr D(g), rounded to the nearest
     integer; a deviation above ``tol`` is a hard error because it
@@ -245,7 +233,6 @@ def decompose_eigenspace(group: GroupSpec, mats: np.ndarray,
             "are not a representation and have no multiplicities")
     traces = np.einsum("gii->g", mats)
     mult = {}
-    bases = {}
     for label, chi in group.irreps.items():
         m = float(np.real(np.dot(chi, traces))) / group.order
         m_int = round(m)
@@ -253,22 +240,30 @@ def decompose_eigenspace(group: GroupSpec, mats: np.ndarray,
             raise NonIntegerMultiplicity(
                 f"multiplicity of {label} is {m:.8f}, not an integer")
         mult[label] = m_int
-        if m_int > 0:
-            bases[label] = project(group, label, mats)
-        else:
-            bases[label] = np.zeros((mats.shape[1], 0))
-    dim = mats.shape[1]
-    if sum(mult[l] * group.dims[l] for l in mult) != dim:
+    if sum(mult[l] * group.dims[l] for l in mult) != mats.shape[1]:
         raise NonInvariantSubspace(
             "multiplicities do not exhaust the space; the subspace is "
             "probably not invariant")
-    return IrrepDecomposition(energy=energy, multiplicities=mult,
-                              bases=bases, dimension=dim)
+    return mult
 
 
 # ---------------------------------------------------------------------------
 # standard actions
 # ---------------------------------------------------------------------------
+
+def _permutation_rep(group: GroupSpec, points, image) -> np.ndarray:
+    """0/1 matrices of the group permuting ``points``.
+
+    D(g) sends the unit vector of ``points[i]`` to that of
+    ``image(g, points[i])``, which must be another member of ``points``.
+    """
+    index = {pt: i for i, pt in enumerate(points)}
+    mats = np.zeros((group.order, len(points), len(points)))
+    for gi, g in enumerate(group.elements):
+        for i, pt in enumerate(points):
+            mats[gi, index[image(g, pt)], i] = 1.0
+    return mats
+
 
 def sector_permutation_rep(group: GroupSpec | None = None) -> np.ndarray:
     """S3 acting on the six ordering sectors by relabelling.
@@ -277,15 +272,8 @@ def sector_permutation_rep(group: GroupSpec | None = None) -> np.ndarray:
     sends it to (p(i), p(j), p(k)).  The action is simply transitive,
     i.e. this is the regular representation.
     """
-    from .solvable import SECTOR_ORDER  # local import to avoid a cycle
-
-    group = group or build_group("S3")
-    mats = np.zeros((group.order, 6, 6))
-    for gi, p in enumerate(group.elements):
-        for si, s in enumerate(SECTOR_ORDER):
-            target = tuple(p[a - 1] for a in s)
-            mats[gi, SECTOR_ORDER.index(target), si] = 1.0
-    return mats
+    return _permutation_rep(group or build_group("S3"), PERMUTATIONS,
+                            perm_compose)
 
 
 def orbit_rep_for_multisets(multisets, group: GroupSpec | None = None):
@@ -295,22 +283,11 @@ def orbit_rep_for_multisets(multisets, group: GroupSpec | None = None):
     degeneracy space of a composed level, and the representation
     matrices U(p)|n1 n2 n3> = |n_{p^-1(1)} n_{p^-1(2)} n_{p^-1(3)}>.
     """
-    from itertools import permutations as iperm
-
-    group = group or build_group("S3")
-    triples = []
-    for ms in multisets:
-        for t in sorted(set(iperm(ms))):
-            triples.append(t)
-    triples = sorted(set(triples))
-    d = len(triples)
-    mats = np.zeros((group.order, d, d))
-    for gi, p in enumerate(group.elements):
-        pinv = tuple(np.argsort([p[a] for a in range(3)]) + 1)
-        for ti, t in enumerate(triples):
-            target = tuple(t[pinv[b] - 1] for b in range(3))
-            mats[gi, triples.index(target), ti] = 1.0
-    return mats, tuple(triples)
+    triples = tuple(sorted({t for ms in multisets for t in permutations(ms)}))
+    mats = _permutation_rep(
+        group or build_group("S3"), triples,
+        lambda p, t: tuple(t[p.index(b)] for b in (1, 2, 3)))
+    return mats, triples
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +295,7 @@ def orbit_rep_for_multisets(multisets, group: GroupSpec | None = None):
 # ---------------------------------------------------------------------------
 
 def irrep_towers(decompositions):
-    """Group (energy, decomposition) pairs into per-irrep towers.
+    """Group (energy, multiplicities) pairs into per-irrep towers.
 
     Returns {irrep: [(E, multiplicity), ...]} keeping only nonzero
     multiplicities, ordered by energy, with one row per energy: pairs
@@ -330,8 +307,8 @@ def irrep_towers(decompositions):
     ordered = sorted(decompositions, key=lambda t: t[0])
     for group in group_by_energy(ordered, GROUP_TOLERANCE):
         energy = float(np.mean([e for e, _ in group]))
-        for label in group[0][1].multiplicities:
-            m = sum(dec.multiplicities[label] for _, dec in group)
+        for label in group[0][1]:
+            m = sum(mult[label] for _, mult in group)
             if m > 0:
                 towers.setdefault(label, []).append((energy, m))
     return towers
@@ -348,7 +325,7 @@ def fermionic_spectrum(towers):
 def decompositions_to_json(decompositions) -> str:
     """JSON export: [{"E": ..., "multiplicities": {irrep: m}}, ...]."""
     rows = [
-        {"E": float(e), "multiplicities": {k: int(v) for k, v in d.multiplicities.items()}}
-        for e, d in sorted(decompositions, key=lambda t: t[0])
+        {"E": float(e), "multiplicities": {k: int(v) for k, v in mult.items()}}
+        for e, mult in sorted(decompositions, key=lambda t: t[0])
     ]
     return json.dumps(rows, indent=2, sort_keys=True)

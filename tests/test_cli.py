@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from threebody1d import cli
+from threebody1d.dynamics import CheckReport
+from threebody1d.errors import NonIntegerMultiplicity
 
 GOLDEN = Path(__file__).parent / "golden"
 EMAX = "12"
@@ -118,6 +120,28 @@ def test_model_mismatching_config_exits_2(configs, tmp_path):
     code, _ = run("spectrum", "--config", configs["noninteracting"],
                   "--model", "calogero", "--emax", EMAX, "--out", tmp_path)
     assert code == 2
+
+
+def test_irreps_non_representation_exits_3(configs, tmp_path, monkeypatch):
+    def broken(group, mats):
+        raise NonIntegerMultiplicity("not a representation")
+
+    monkeypatch.setattr(cli, "decompose_eigenspace", broken)
+    code, _ = run("irreps", "--config", configs["noninteracting"],
+                  "--model", "noninteracting", "--emax", EMAX,
+                  "--out", tmp_path)
+    assert code == 3
+
+
+def test_verify_over_tolerance_exits_3(configs, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_run_checks", lambda spec, which: [
+        CheckReport("ladder", 1e-8, 1e-3)])
+    code, stdout = run("verify", "--config", configs["noninteracting"],
+                       "--check", "ladder", "--out", tmp_path)
+    assert code == 3
+    assert stdout.rstrip().endswith("FAIL")
+    (report,) = json.loads((tmp_path / "report.json").read_text())
+    assert report["pass"] is False
 
 
 def test_verify_report_keeps_details(configs, tmp_path):

@@ -1,15 +1,27 @@
+import math
 from math import comb
 
 import numpy as np
 import pytest
 
-from threebody1d.grids import Grid1D
-from threebody1d.models import ContactInteraction, HarmonicTrap, ModelSpec
+from threebody1d.errors import (
+    BoxTooSmall,
+    SingularPotentialUnresolved,
+    UnsupportedTrap,
+)
+from threebody1d.grids import Grid1D, PolarGrid
+from threebody1d.models import (
+    ContactInteraction,
+    HarmonicTrap,
+    InfiniteWell,
+    ModelSpec,
+)
 from threebody1d.oracle import (
     _eigsh_deterministic,
     _hamiltonian_3d,
     _irrep_bases,
     full_spectrum_3d,
+    relative_spectrum_2d,
 )
 
 MODELS = ("noninteracting", "harm_harm", "unitary", "calogero")
@@ -19,6 +31,32 @@ MASKED = ("unitary", "calogero")
 def distinct_levels(vals, tol=1e-8):
     vals = np.sort(vals)
     return vals[np.r_[True, np.diff(vals) > tol]]
+
+
+# a coarse polar grid on one ordering sector, 60 x 40 points
+SECTOR_GRID = PolarGrid(7.5, 60, math.pi / 6, math.pi / 2, 40)
+
+
+class TestRelativeSpectrum2D:
+    def test_unitary_contact_sector_levels(self, spec_unitary):
+        # hard walls on the sector: hbar omega (2 nu + 3 j + 4), j >= 0
+        vals = relative_spectrum_2d(spec_unitary, SECTOR_GRID, k=6).eigenvalues
+        np.testing.assert_allclose(vals, 4.0 + np.array([0, 2, 3, 4, 5, 6]),
+                                   rtol=1e-2)
+
+    def test_small_box_raises(self, spec_harm_harm):
+        with pytest.raises(BoxTooSmall, match="edge amplitude"):
+            relative_spectrum_2d(spec_harm_harm, Grid1D(-4.0, 4.0, 48))
+
+    def test_unresolved_singular_potential_raises(self, spec_calogero):
+        with pytest.raises(SingularPotentialUnresolved,
+                           match="grid-halving instability"):
+            relative_spectrum_2d(spec_calogero, SECTOR_GRID, k=6, refine=True)
+
+    def test_trap_without_relative_frame_raises(self):
+        spec = ModelSpec(InfiniteWell(2.0), ContactInteraction(unitary=True))
+        with pytest.raises(UnsupportedTrap):
+            relative_spectrum_2d(spec, SECTOR_GRID)
 
 
 class TestFullSpectrum3D:

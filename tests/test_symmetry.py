@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from threebody1d import jacobi as J
 from threebody1d.errors import NonIntegerMultiplicity, NotClosed, NotUnitary
 from threebody1d.models import HarmonicTrap
 from threebody1d.onebody import analytic_spectrum
-from threebody1d.composition import compose_spectrum
+from threebody1d.composition import compose_spectrum, multiset_class
 from threebody1d.solvable import unitary_contact_spectrum
 from threebody1d.symmetry import (
     build_group,
@@ -22,6 +24,13 @@ from threebody1d.symmetry import (
     representation_on_space,
     sector_permutation_rep,
 )
+
+# S3 content of the orbit of one multiset {n1 <= n2 <= n3}, by its class
+CLASS_TABLE = {
+    "sixfold": {"[3]": 1, "[21]": 2, "[1^3]": 1},
+    "threefold": {"[3]": 1, "[21]": 1},
+    "nondegenerate": {"[3]": 1},
+}
 
 
 class TestGroups:
@@ -135,20 +144,24 @@ class TestProjectors:
 class TestDecomposition:
     def test_regular_rep_content(self):
         g = build_group("S3")
-        dec = decompose_eigenspace(g, sector_permutation_rep().astype(complex))
-        assert dec.multiplicities == {"[3]": 1, "[21]": 2, "[1^3]": 1}
+        mult = decompose_eigenspace(g, sector_permutation_rep().astype(complex))
+        assert mult == {"[3]": 1, "[21]": 2, "[1^3]": 1}
 
-    def test_threefold_space(self):
+    @settings(max_examples=60, deadline=None)
+    @given(st.sets(st.tuples(*[st.integers(0, 8)] * 3).map(sorted).map(tuple),
+                   min_size=1, max_size=6))
+    @example({(0, 0, 1)})
+    @example({(0, 0, 0)})
+    def test_multiplicities_equal_class_table(self, multisets):
+        # the character of the permutation representation on the orbits
+        # of distinct multisets is the sum of the class table over them
         g = build_group("S3")
-        mats, _ = orbit_rep_for_multisets([(0, 0, 1)], g)
-        dec = decompose_eigenspace(g, mats.astype(complex))
-        assert dec.multiplicities == {"[3]": 1, "[21]": 1, "[1^3]": 0}
-
-    def test_singlet_space(self):
-        g = build_group("S3")
-        mats, _ = orbit_rep_for_multisets([(0, 0, 0)], g)
-        dec = decompose_eigenspace(g, mats.astype(complex))
-        assert dec.multiplicities == {"[3]": 1, "[21]": 0, "[1^3]": 0}
+        mats, _ = orbit_rep_for_multisets(multisets, g)
+        expected = dict.fromkeys(g.irreps, 0)
+        for ms in multisets:
+            for mu, m in CLASS_TABLE[multiset_class(ms)].items():
+                expected[mu] += m
+        assert decompose_eigenspace(g, mats) == expected
 
     def test_non_integer_multiplicity_raises(self):
         g = build_group("S3")
@@ -170,8 +183,8 @@ class TestDecomposition:
         g = build_group("S3")
         for lv in compose_spectrum(harmonic_sigma1, 6.6):
             mats, triples = orbit_rep_for_multisets(lv.multisets, g)
-            dec = decompose_eigenspace(g, mats.astype(complex), lv.energy)
-            total = sum(m * g.dims[mu] for mu, m in dec.multiplicities.items())
+            mult = decompose_eigenspace(g, mats.astype(complex))
+            total = sum(m * g.dims[mu] for mu, m in mult.items())
             assert total == lv.degeneracy == len(triples)
 
 
@@ -210,7 +223,7 @@ class TestTowers:
 
     def test_json_export(self):
         g = build_group("S3")
-        dec = decompose_eigenspace(g, sector_permutation_rep().astype(complex))
-        text = decompositions_to_json([(4.5, dec)])
+        mult = decompose_eigenspace(g, sector_permutation_rep().astype(complex))
+        text = decompositions_to_json([(4.5, mult)])
         assert '"E": 4.5' in text
         assert '"[21]": 2' in text
