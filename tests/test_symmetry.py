@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threebody1d import jacobi as J
@@ -147,11 +147,21 @@ class TestDecomposition:
         mult = decompose_eigenspace(g, sector_permutation_rep().astype(complex))
         assert mult == {"[3]": 1, "[21]": 2, "[1^3]": 1}
 
+    def test_threefold_space(self):
+        g = build_group("S3")
+        mats, _ = orbit_rep_for_multisets([(0, 0, 1)], g)
+        mult = decompose_eigenspace(g, mats.astype(complex))
+        assert mult == {"[3]": 1, "[21]": 1, "[1^3]": 0}
+
+    def test_singlet_space(self):
+        g = build_group("S3")
+        mats, _ = orbit_rep_for_multisets([(0, 0, 0)], g)
+        mult = decompose_eigenspace(g, mats.astype(complex))
+        assert mult == {"[3]": 1, "[21]": 0, "[1^3]": 0}
+
     @settings(max_examples=60, deadline=None)
     @given(st.sets(st.tuples(*[st.integers(0, 8)] * 3).map(sorted).map(tuple),
                    min_size=1, max_size=6))
-    @example({(0, 0, 1)})
-    @example({(0, 0, 0)})
     def test_multiplicities_equal_class_table(self, multisets):
         # the character of the permutation representation on the orbits
         # of distinct multisets is the sum of the class table over them
