@@ -8,7 +8,8 @@ Both matrices are banded.  Eigenvalues come from the band reduction
 alone (O(N^2) for N points), never from the N x N eigenvector matrix
 a full solve would build.  Eigenvectors are computed by banded inverse
 iteration (two O(N) band solves each), and only where they are read:
-the box-edge check of ``grid_spectrum_1d`` and ``grid_orbitals_1d``.
+the box-edge checks and ``grid_orbitals_1d``.  The oracle's separable
+2D solves reuse this banded path.
 """
 
 from __future__ import annotations

@@ -10,6 +10,11 @@ Two solver families cover the in-scope models:
   phi = pi/6 + k*pi/3 are grid-aligned and enforced as Dirichlet walls.
   The substitution u = sqrt(rho) psi keeps the matrix symmetric.
 
+Both 2D operators separate exactly and are diagonalized by the banded
+1D solver of ``onebody``: the Cartesian one is A (+) A for one 1D
+operator A, and the polar one splits into one radial tridiagonal per
+angular channel (Lynch, Rice & Thomas 1964).
+
 The full 3D operator is diagonalized in S3 symmetry blocks, never on
 the whole n^3 cube.  For the singular models the removed coincidence
 planes decouple the six ordering sectors exactly, so the i < j < k
@@ -18,9 +23,8 @@ smooth models are restricted to orthonormal bases built from orbits of
 grid-index triples: the [3] and [1^3] blocks and one row of the [21]
 irrep, whose levels count twice.
 
-Every eigensolve runs ARPACK (shift-invert for the 2D operators, plain
-Lanczos for the 3D ones) with a fixed, deterministic start vector, so
-repeated runs are bit-identical.
+The 3D blocks are solved by ARPACK Lanczos from a fixed start vector,
+so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
-    BoxTooSmall,
     GridMismatch,
     ResourceBudgetExceeded,
     SingularPotentialUnresolved,
@@ -43,7 +46,8 @@ from .errors import (
 )
 from .grids import Grid1D, PolarGrid
 from .models import ModelSpec
-from .onebody import kinetic_fd_1d
+from .onebody import (_band_eigenvectors, _check_box_edges, _solve_banded,
+                      kinetic_fd_1d)
 
 # Prefactor of the Calogero-Moser angular barrier: the three pair terms
 # gamma/(x_i - x_j)^2 sum to (9/2) gamma / (rho^2 cos^2(3 phi)).
@@ -93,12 +97,11 @@ class OracleResult:
     wall_time: float
 
 
-def _eigsh_deterministic(h, k, mode="shift-invert"):
-    """Lowest k eigenpairs, deterministically.
+def _eigsh_deterministic(h, k):
+    """Lowest k eigenpairs of a 3D block, deterministically.
 
-    Shift-invert is the fast path for 2D operators, whose sparse LU
-    stays cheap; 3D operators fill in catastrophically under LU, so
-    they use plain Lanczos instead.  The start vector is fixed but
+    Plain Lanczos: 3D operators fill in catastrophically under sparse
+    LU, so shift-invert does not pay.  The start vector is fixed but
     unstructured: a structured one can be near-orthogonal to members
     of a degenerate multiplet and lose copies.
     """
@@ -107,11 +110,8 @@ def _eigsh_deterministic(h, k, mode="shift-invert"):
     # solve with slack so degenerate multiplets (up to 6-fold here) are
     # not truncated mid-cluster, then return the lowest k
     ks = min(k + 6, n - 1)
-    if mode == "shift-invert":
-        vals, vecs = spla.eigsh(h.tocsc(), k=ks, sigma=0.0, which="LM", v0=v0)
-    else:
-        vals, vecs = spla.eigsh(h.tocsr(), k=ks, which="SA", v0=v0,
-                                maxiter=50 * n, tol=1e-10)
+    vals, vecs = spla.eigsh(h.tocsr(), k=ks, which="SA", v0=v0,
+                            maxiter=50 * n, tol=1e-10)
     order = np.argsort(vals)[:k]
     return vals[order], vecs[:, order]
 
@@ -150,38 +150,40 @@ def default_relative_grid(spec: ModelSpec):
                      phi_max=math.pi / 2, n_phi=160)
 
 
-def _cartesian_relative_hamiltonian(spec: ModelSpec, grid: Grid1D):
+def _cartesian_relative_levels(spec: ModelSpec, grid: Grid1D, k: int):
+    """Lowest k levels of A (+) A, the pairwise sums of the lowest k levels
+    of A = T + c x^2, and the ground state of A as a column."""
     x = grid.points()
-    t1 = kinetic_fd_1d(grid.n, grid.dx, order=4, mass=spec.mass, hbar=spec.hbar)
-    eye = sp.identity(grid.n)
-    h = sp.kron(t1, eye) + sp.kron(eye, t1)
-    q2, q3 = np.meshgrid(x, x, indexing="ij")
-    v = relative_potential_smooth(spec)(q2, q3)
-    return (h + sp.diags(v.ravel())).tocsr()
+    v = relative_potential_smooth(spec)(x, 0.0)
+    a, bands = _solve_banded(x, v, min(k, grid.n) - 1, 4, spec.mass, spec.hbar)
+    levels = np.sort((a[:, None] + a[None, :]).ravel())[:k]
+    return levels, _band_eigenvectors(bands, a[:1])
 
 
-def _polar_relative_hamiltonian(spec: ModelSpec, grid: PolarGrid):
-    """Relative Hamiltonian on the (rho, phi) grid after u = sqrt(rho) psi."""
+def _polar_relative_levels(spec: ModelSpec, grid: PolarGrid, k: int):
+    """Lowest k levels of (T_rho + U) (x) I + diag(1/rho^2) (x) (T_phi + W).
+
+    Each eigenvalue mu of T_phi + W leaves the radial tridiagonal
+    T_rho + U + mu/rho^2, whose l-th level grows with mu, so the lowest
+    k levels lie among the lowest k levels of the lowest k channels.
+    """
     omega = _require_relative_frame(spec)
     m, hbar = spec.mass, spec.hbar
-    rho = grid.rho_points()
-    phi = grid.phi_points()
-    n_rho, n_phi = grid.n_rho, grid.n_phi
-
-    t_rho = kinetic_fd_1d(n_rho, grid.drho, order=2, mass=m, hbar=hbar)
-    t_phi = kinetic_fd_1d(n_phi, grid.dphi, order=2, mass=m, hbar=hbar)
-    inv_r2 = sp.diags(1.0 / rho**2)
-    h = sp.kron(t_rho, sp.identity(n_phi)) + sp.kron(inv_r2, t_phi)
-
-    v = 0.5 * m * omega**2 * rho[:, None] ** 2 * np.ones_like(phi)[None, :]
-    v = v - (hbar**2 / (8 * m)) / rho[:, None] ** 2  # metric term of the substitution
+    rho, phi = grid.rho_points(), grid.phi_points()
     kind = spec.interaction.kind
     if kind == "inverse_square":
-        v = v + (CM_ANGULAR_PREFACTOR * spec.interaction.gamma
-                 / (rho[:, None] ** 2 * np.cos(3 * phi[None, :]) ** 2))
-    elif not (kind == "contact" and spec.interaction.unitary):
+        w = (CM_ANGULAR_PREFACTOR * spec.interaction.gamma
+             / np.cos(3 * phi) ** 2)
+    elif kind == "contact" and spec.interaction.unitary:
+        w = np.zeros_like(phi)
+    else:
         raise ValueError(f"polar solver does not handle interaction {kind!r}")
-    return (h + sp.diags(v.ravel())).tocsr()
+    mu, _ = _solve_banded(phi, w, min(k, grid.n_phi) - 1, 2, m, hbar)
+    # the metric term of the substitution is -hbar^2 / (8 m rho^2)
+    u = 0.5 * m * omega**2 * rho**2 - (hbar**2 / (8 * m)) / rho**2
+    channels = [_solve_banded(rho, u + mu_j / rho**2, min(k, grid.n_rho) - 1,
+                              2, m, hbar)[0] for mu_j in mu]
+    return np.sort(np.concatenate(channels))[:k], None
 
 
 def relative_spectrum_2d(spec: ModelSpec, grid=None, k: int = 8, *,
@@ -191,7 +193,8 @@ def relative_spectrum_2d(spec: ModelSpec, grid=None, k: int = 8, *,
     Smooth interactions (none, harmonic) are solved on a Cartesian
     (q2, q3) grid, whose ground state must have decayed at the box edge
     (else BoxTooSmall); the singular ones (inverse-square, unitary
-    contact) on a polar grid restricted to one ordering sector.
+    contact) on a polar grid restricted to one ordering sector.  Both
+    operators separate and are diagonalized exactly by banded 1D solves.
     ``refine`` re-solves at half resolution and attaches the per-level
     delta; for the singular models a delta above 1e-3 relative raises
     SingularPotentialUnresolved.
@@ -200,21 +203,15 @@ def relative_spectrum_2d(spec: ModelSpec, grid=None, k: int = 8, *,
     if grid is None:
         grid = default_relative_grid(spec)
     singular = isinstance(grid, PolarGrid)
-    hamiltonian = (_polar_relative_hamiltonian if singular
-                   else _cartesian_relative_hamiltonian)
-    vals, vecs = _eigsh_deterministic(hamiltonian(spec, grid), k)
+    levels = _polar_relative_levels if singular else _cartesian_relative_levels
+    vals, ground = levels(spec, grid, k)
     if not singular:
-        ground = np.abs(vecs[:, 0].reshape(grid.n, grid.n))
-        edge = max(ground[0].max(), ground[-1].max(),
-                   ground[:, 0].max(), ground[:, -1].max())
-        if edge > 1e-8 * ground.max():
-            raise BoxTooSmall(
-                f"relative box [{grid.x_min}, {grid.x_max}] too small: edge "
-                f"amplitude {edge / ground.max():.1e} of max")
+        # the 2D ground state is v0 (x) v0, with the edge ratio of v0
+        _check_box_edges(grid, ground)
 
     delta = None
     if refine:
-        cvals, _ = _eigsh_deterministic(hamiltonian(spec, grid.halved()), k)
+        cvals, _ = levels(spec, grid.halved(), k)
         delta = np.abs(vals - cvals)
         if singular and np.any(delta / np.abs(vals) > 1e-3):
             raise SingularPotentialUnresolved(
@@ -353,8 +350,7 @@ def _hamiltonian_3d(spec: ModelSpec, grid: Grid1D):
 
 def _block_spectrum(blocks, k):
     """Lowest k levels of the union of the block spectra, with copies."""
-    vals = [np.repeat(_eigsh_deterministic(h, -(-k // copies),
-                                           mode="lanczos")[0], copies)
+    vals = [np.repeat(_eigsh_deterministic(h, -(-k // copies))[0], copies)
             for h, copies in blocks]
     return np.sort(np.concatenate(vals))[:k]
 

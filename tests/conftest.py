@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from threebody1d import (
     ContactInteraction,
@@ -10,7 +11,13 @@ from threebody1d import (
     NoInteraction,
     analytic_spectrum,
 )
-from threebody1d.oracle import _cube_hamiltonian
+from threebody1d.grids import PolarGrid
+from threebody1d.onebody import kinetic_fd_1d
+from threebody1d.oracle import (
+    CM_ANGULAR_PREFACTOR,
+    _cube_hamiltonian,
+    relative_potential_smooth,
+)
 
 
 @pytest.fixture(scope="session")
@@ -59,4 +66,49 @@ def cube_hamiltonian():
         keep = (np.flatnonzero(~coincidence_mask(grid.n).ravel()) if masked
                 else np.arange(grid.n**3))
         return h, keep
+    return build
+
+
+def _cartesian_relative_hamiltonian(spec, grid):
+    x = grid.points()
+    t1 = kinetic_fd_1d(grid.n, grid.dx, order=4, mass=spec.mass, hbar=spec.hbar)
+    eye = sp.identity(grid.n)
+    h = sp.kron(t1, eye) + sp.kron(eye, t1)
+    q2, q3 = np.meshgrid(x, x, indexing="ij")
+    v = relative_potential_smooth(spec)(q2, q3)
+    return (h + sp.diags(v.ravel())).tocsr()
+
+
+def _polar_relative_hamiltonian(spec, grid):
+    """Relative Hamiltonian on the (rho, phi) grid after u = sqrt(rho) psi."""
+    omega = spec.effective_omega()
+    m, hbar = spec.mass, spec.hbar
+    rho = grid.rho_points()
+    phi = grid.phi_points()
+    t_rho = kinetic_fd_1d(grid.n_rho, grid.drho, order=2, mass=m, hbar=hbar)
+    t_phi = kinetic_fd_1d(grid.n_phi, grid.dphi, order=2, mass=m, hbar=hbar)
+    inv_r2 = sp.diags(1.0 / rho**2)
+    h = sp.kron(t_rho, sp.identity(grid.n_phi)) + sp.kron(inv_r2, t_phi)
+
+    v = 0.5 * m * omega**2 * rho[:, None] ** 2 * np.ones_like(phi)[None, :]
+    v = v - (hbar**2 / (8 * m)) / rho[:, None] ** 2  # metric term of the substitution
+    if spec.interaction.kind == "inverse_square":
+        v = v + (CM_ANGULAR_PREFACTOR * spec.interaction.gamma
+                 / (rho[:, None] ** 2 * np.cos(3 * phi[None, :]) ** 2))
+    return (h + sp.diags(v.ravel())).tocsr()
+
+
+@pytest.fixture(scope="session")
+def relative_hamiltonian_2d():
+    """(spec, grid) -> the sparse relative 2D Hamiltonian on ``grid``.
+
+    The Kronecker-product operator on the whole grid: Cartesian (q2, q3)
+    for a Grid1D, the polar sector after u = sqrt(rho) psi for a
+    PolarGrid.  Its spectrum is what the separable solve of
+    ``relative_spectrum_2d`` must reproduce.
+    """
+    def build(spec, grid):
+        if isinstance(grid, PolarGrid):
+            return _polar_relative_hamiltonian(spec, grid)
+        return _cartesian_relative_hamiltonian(spec, grid)
     return build

@@ -105,6 +105,26 @@ def test_verify_reports(check, model, name, tol, configs, tmp_path):
     assert stdout.startswith(f"{name}: ") and stdout.rstrip().endswith("pass")
 
 
+def verify_oracle(config, out):
+    code, _ = run("verify", "--config", config, "--check", "oracle",
+                  "--out", out)
+    (report,) = json.loads((out / "report.json").read_text())
+    assert report["check"] == "oracle"
+    return code, report
+
+
+def test_verify_oracle_harm_harm_passes(configs, tmp_path):
+    code, report = verify_oracle(configs["harm-harm"], tmp_path)
+    assert code == 0 and report["pass"] is True
+    assert report["details"]["winner"] == "derived_6g_over_m"
+
+
+def test_verify_oracle_calogero_exit_code_follows_pass(configs, tmp_path):
+    code, report = verify_oracle(configs["calogero"], tmp_path)
+    assert report["details"]["winner"] == "derived_4mg"
+    assert code == (0 if report["pass"] else 3)
+
+
 def test_gold_check_on_silver_model_exits_1(configs, tmp_path):
     code, _ = run("verify", "--config", configs["calogero"], "--check", "gold",
                   "--out", tmp_path)

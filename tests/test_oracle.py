@@ -3,6 +3,9 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threebody1d.errors import (
     BoxTooSmall,
@@ -14,7 +17,9 @@ from threebody1d.models import (
     ContactInteraction,
     HarmonicTrap,
     InfiniteWell,
+    InverseSquareInteraction,
     ModelSpec,
+    NoInteraction,
 )
 from threebody1d.oracle import (
     _eigsh_deterministic,
@@ -33,11 +38,71 @@ def distinct_levels(vals, tol=1e-8):
     return vals[np.r_[True, np.diff(vals) > tol]]
 
 
+def sector_grid(n_rho, n_phi):
+    """A polar grid on one ordering sector, n_rho x n_phi points."""
+    return PolarGrid(7.5, n_rho, math.pi / 6, math.pi / 2, n_phi)
+
+
 # a coarse polar grid on one ordering sector, 60 x 40 points
-SECTOR_GRID = PolarGrid(7.5, 60, math.pi / 6, math.pi / 2, 40)
+SECTOR_GRID = sector_grid(60, 40)
+
+
+# each model's grid for the dense whole-spectrum test, and its fit-probe
+# grid in perfbench for the sparse one
+DENSE_GRIDS = {"noninteracting": Grid1D(-7.0, 7.0, 16),
+               "harm_harm": Grid1D(-7.0, 7.0, 16),
+               "unitary": sector_grid(20, 12), "calogero": sector_grid(20, 12)}
+PROBE_GRIDS = {"noninteracting": Grid1D(-7.0, 7.0, 48),
+               "harm_harm": Grid1D(-7.0, 7.0, 48),
+               "unitary": SECTOR_GRID, "calogero": SECTOR_GRID}
 
 
 class TestRelativeSpectrum2D:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_separable_levels_are_the_whole_spectrum(
+            self, model, request, relative_hamiltonian_2d):
+        # every channel and every level kept: all eigenvalues, dense
+        spec = request.getfixturevalue(f"spec_{model}")
+        grid = DENSE_GRIDS[model]
+        full = np.linalg.eigvalsh(relative_hamiltonian_2d(spec, grid).toarray())
+        vals = relative_spectrum_2d(spec, grid, k=len(full)).eigenvalues
+        np.testing.assert_allclose(vals, full, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_probe_grid_levels_match_the_kronecker_operator(
+            self, model, request, relative_hamiltonian_2d):
+        spec = request.getfixturevalue(f"spec_{model}")
+        grid = PROBE_GRIDS[model]
+        h = relative_hamiltonian_2d(spec, grid).tocsc()
+        v0 = np.random.default_rng(2024).standard_normal(h.shape[0])
+        full = np.sort(spla.eigsh(h, k=12, sigma=0.0, which="LM", v0=v0,
+                                  tol=1e-13)[0])[:6]
+        vals = relative_spectrum_2d(spec, grid, k=6).eigenvalues
+        np.testing.assert_allclose(vals, full, rtol=1e-10, atol=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(gamma=st.floats(0.0, 2.0), n_rho=st.integers(2, 16),
+           n_phi=st.integers(2, 12), k=st.integers(1, 40))
+    def test_random_polar_inputs_match_the_kronecker_operator(
+            self, relative_hamiltonian_2d, gamma, n_rho, n_phi, k):
+        spec = ModelSpec(HarmonicTrap(1.0), InverseSquareInteraction(gamma))
+        grid = sector_grid(n_rho, n_phi)
+        k = min(k, n_rho * n_phi)
+        full = np.linalg.eigvalsh(relative_hamiltonian_2d(spec, grid).toarray())
+        vals = relative_spectrum_2d(spec, grid, k=k).eigenvalues
+        np.testing.assert_allclose(vals, full[:k], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("grid", [None, Grid1D(-7.0, 7.0, 48)])
+    def test_harm_harm_exchange_pairs_are_bit_equal(self, spec_harm_harm, grid):
+        # levels omega_rel (1, 2, 2, 3, 3, 3): a0+a0, a0+a1 twice, a0+a2
+        # twice, then 2 a1, which the grid splits from a0+a2 by its
+        # discretization error, not by rounding
+        vals = relative_spectrum_2d(spec_harm_harm, grid, k=6).eigenvalues
+        assert vals[1] == vals[2] and vals[3] == vals[4]
+        assert vals[0] < vals[1] < vals[3] < vals[5]
+        np.testing.assert_allclose(vals, 2.0 * np.array([1, 2, 2, 3, 3, 3]),
+                                   rtol=3e-3)
+
     def test_unitary_contact_sector_levels(self, spec_unitary):
         # hard walls on the sector: hbar omega (2 nu + 3 j + 4), j >= 0
         vals = relative_spectrum_2d(spec_unitary, SECTOR_GRID, k=6).eigenvalues
@@ -47,6 +112,14 @@ class TestRelativeSpectrum2D:
     def test_small_box_raises(self, spec_harm_harm):
         with pytest.raises(BoxTooSmall, match="edge amplitude"):
             relative_spectrum_2d(spec_harm_harm, Grid1D(-4.0, 4.0, 48))
+
+    def test_box_edge_check_reads_the_ground_state_only(self):
+        # omega = 0.8 on the default box: the ground state passes, while
+        # the first excited 1D state keeps 1.7e-8 of its peak at the edge
+        spec = ModelSpec(HarmonicTrap(0.8), NoInteraction())
+        vals = relative_spectrum_2d(spec, k=6).eigenvalues
+        np.testing.assert_allclose(vals, 0.8 * np.array([1, 2, 2, 3, 3, 3]),
+                                   rtol=1e-4)
 
     def test_unresolved_singular_potential_raises(self, spec_calogero):
         with pytest.raises(SingularPotentialUnresolved,
@@ -90,7 +163,7 @@ class TestFullSpectrum3D:
         spec = request.getfixturevalue(f"spec_{model}")
         grid = Grid1D(-6.0, 6.0, 24)
         h, keep = cube_hamiltonian(spec, grid)
-        full, _ = _eigsh_deterministic(h[keep][:, keep], 10, mode="lanczos")
+        full, _ = _eigsh_deterministic(h[keep][:, keep], 10)
         blocks = full_spectrum_3d(spec, grid, k=18).eigenvalues
         if model in MASKED:
             # Lanczos on the full grid can drop copies of a sixfold
