@@ -1,4 +1,21 @@
-from threebody1d.dynamics import superintegrability_check
+import numpy as np
+import pytest
+
+from threebody1d.dynamics import (
+    best_local_residual,
+    gold_locality_check,
+    interacting_hamiltonian,
+    ladder_check,
+    superintegrability_check,
+)
+from threebody1d.errors import NotGold
+from threebody1d.models import (
+    HarmonicInteraction,
+    HarmonicTrap,
+    InverseSquareInteraction,
+    ModelSpec,
+    QuadraticTrap,
+)
 
 
 def test_silent_negative_control_fails_superintegrability():
@@ -8,3 +25,38 @@ def test_silent_negative_control_fails_superintegrability():
     assert not report.details["negative_control_ok"]
     assert not report.passed
     assert '"pass": false' in report.to_json()
+
+
+class TestLadder:
+    def test_passes_at_default_size(self):
+        report = ladder_check(n=40)
+        assert report.passed
+        assert set(report.details) == {"raise", "lower", "so21_commutator"}
+        assert report.max_residual == max(report.details.values())
+
+    def test_rejects_small_basis(self):
+        with pytest.raises(ValueError, match="n >= 20"):
+            ladder_check(n=19)
+
+
+class TestGoldLocality:
+    def test_shifted_quadratic_trap_is_local(self):
+        spec = ModelSpec(QuadraticTrap(0.7, 0.3, -0.2), HarmonicInteraction(0.4))
+        report = gold_locality_check(spec)
+        assert report.passed
+        assert report.details["locality_residual"] < 1e-12
+        assert report.details["schmidt_drift"] < 1e-10
+
+    def test_silver_model_is_not_gold(self):
+        spec = ModelSpec(HarmonicTrap(1.0), InverseSquareInteraction(1.0))
+        with pytest.raises(NotGold):
+            gold_locality_check(spec)
+
+    def test_particle_basis_is_not_local(self):
+        # negative control: the pair terms couple the particle modes, so
+        # the same operator in the particle basis is far from local
+        n = 8
+        h = interacting_hamiltonian(n, 1.0, 0.5, basis="particle").toarray()
+        assert best_local_residual(h, (n, n, n)) > 1e-2
+        h0 = interacting_hamiltonian(n, 1.0, 0.0, basis="particle").toarray()
+        assert best_local_residual(h0, (n, n, n)) < 1e-12
