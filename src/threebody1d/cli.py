@@ -181,6 +181,7 @@ def _run_checks(spec, which: str):
             state, dynamics.TPSBipartition((0,), (1,)),
             rng.uniform(0.0, 50.0, 50), hbar=spec.hbar))
     elif which == "gold":
+        _require_omega(spec)
         reports.append(dynamics.gold_locality_check(spec, n=8))
     elif which == "oracle":
         omega = _require_omega(spec)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,55 +82,81 @@ def group_by_energy(entries, tol: float):
         yield group
 
 
-def compose_spectrum(sigma1, e_max: float, tol_group: float | None = None):
-    """All three-particle levels with energy <= e_max.
+def window_top(energies, e_max: float, tol: float) -> float:
+    """The highest of ``energies`` inside the window up to e_max, or -inf.
 
-    Enumerates multisets n1 <= n2 <= n3 over the one-body spectrum,
-    groups them by energy and classifies each group.  A level within
-    the grouping tolerance of e_max is kept whole: the window admits
-    every group whose lowest member lies within
-    ``energy_cutoff(e_max, tol_group)``, so rounding never splits a
-    degenerate multiplet at the edge.  Raises TruncationRisk unless
-    2*eps0 + eps_nmax lies more than one grouping width beyond that
-    cutoff, which guarantees no admissible multiset is lost to the
-    one-body cutoff.
+    The package's one window rule: a degenerate run of the distinct
+    energies (``group_by_energy``) is kept whole when its lowest member
+    lies within ``energy_cutoff(e_max, tol)``, so rounding never splits
+    a multiplet at the edge.  ``energies`` must hold every value up to
+    the highest a kept run can reach, ``energy_cutoff`` applied twice.
+    """
+    cut, top = energy_cutoff(e_max, tol), -math.inf
+    for run in group_by_energy(((e, None) for e in np.unique(energies).tolist()),
+                               tol):
+        if run[0][0] > cut:
+            break
+        top = run[-1][0]
+    return top
+
+
+def _triples(sigma1, e_max: float, tol: float, *, distinct: bool):
+    """Sorted (energy, (i, j, k)) of the one-body triples in the window.
+
+    The one enumerator of composed spectra: i <= j <= k, or i < j < k
+    when ``distinct``, at energy eps_i + eps_j + eps_k, cut by
+    ``window_top``.  Raises TruncationRisk unless the lowest triple
+    holding the top one-body level lies beyond the window's reach, so
+    no triple inside the window is lost to the one-body cutoff.
     """
     eps, _ = _as_energies(sigma1)
-    if len(eps) < 1:
-        raise TruncationRisk("empty one-body spectrum")
-    if tol_group is None:
-        tol_group = default_group_tolerance(sigma1)
-    cut = energy_cutoff(e_max, tol_group)
-    # enumerate one grouping width past the cut so that a group whose
-    # lowest member is admitted is collected whole
-    reach = energy_cutoff(cut, tol_group)
-    if 3 * eps[0] > cut:
-        return []
-    if 2 * eps[0] + eps[-1] <= reach:
+    d = int(distinct)
+    if len(eps) < 1 + 2 * d:
         raise TruncationRisk(
-            f"one-body spectrum too shallow: 2*eps0 + eps_max = "
-            f"{2 * eps[0] + eps[-1]:.6g} does not exceed the window edge "
+            f"one-body spectrum has fewer than {1 + 2 * d} levels")
+    eps, n = eps.tolist(), len(eps)
+    if eps[0] + eps[d] + eps[2 * d] > energy_cutoff(e_max, tol):
+        return []
+    reach = energy_cutoff(energy_cutoff(e_max, tol), tol)
+    shallow = eps[0] + eps[d] + eps[-1]
+    if shallow <= reach:
+        raise TruncationRisk(
+            f"one-body spectrum too shallow: the lowest triple with "
+            f"eps_max, {shallow:.6g}, does not exceed the window edge "
             f"{reach:.6g} (e_max = {e_max:.6g})")
-
-    entries = []
-    n = len(eps)
-    for i in range(n):
-        if 3 * eps[i] > reach:
+    entries = []  # each break is at the lowest triple energy left
+    for i in range(n - 2 * d):
+        if eps[i] + eps[i + d] + eps[i + 2 * d] > reach:
             break
-        for j in range(i, n):
-            if eps[i] + 2 * eps[j] > reach:
+        for j in range(i + d, n - d):
+            if eps[i] + eps[j] + eps[j + d] > reach:
                 break
-            for k in range(j, n):
+            for k in range(j + d, n):
                 e = eps[i] + eps[j] + eps[k]
                 if e > reach:
                     break
                 entries.append((e, (i, j, k)))
-    entries.sort(key=lambda t: (t[0], t[1]))
+    entries.sort()
+    top = window_top([e for e, _ in entries], e_max, tol)
+    return [t for t in entries if t[0] <= top]
 
+
+def compose_spectrum(sigma1, e_max: float, tol_group: float | None = None):
+    """All three-particle levels with energy <= e_max.
+
+    Enumerates multisets n1 <= n2 <= n3 over the one-body spectrum
+    (``_triples``), groups them by energy (``group_by_energy``) and
+    classifies each group.  The window is the package's one rule
+    (``window_top``): a level whose lowest multiset lies within
+    ``energy_cutoff(e_max, tol_group)`` is kept whole.  Raises
+    TruncationRisk when the one-body spectrum is too shallow to exhaust
+    the window.
+    """
+    if tol_group is None:
+        tol_group = default_group_tolerance(sigma1)
     levels = []
-    for group in group_by_energy(entries, tol_group):
-        if group[0][0] > cut:
-            break
+    for group in group_by_energy(
+            _triples(sigma1, e_max, tol_group, distinct=False), tol_group):
         classes = tuple(multiset_class(ms) for _, ms in group)
         levels.append(SpectrumLevel(
             energy=float(np.mean([e for e, _ in group])),

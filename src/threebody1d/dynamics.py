@@ -11,6 +11,7 @@ corrupts operator products only in those rows.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, MissingEnergyLabel, NotGold
+from .errors import DimensionMismatch, MissingEnergyLabel, NotGold, UnsupportedTrap
 from .jacobi import JACOBI_MATRIX
 from .models import ModelSpec, QuadraticTrap, validate_model
 from .models import classify_separability
@@ -181,13 +182,14 @@ def so21_ladder_operators(n: int, *, mass: float = 1.0, hbar: float = 1.0,
     return h.tocsr(), wp.tocsr(), wm.tocsr()
 
 
-def _interior_norm(mat, n: int) -> float:
-    """Frobenius norm of the block excluding the top EDGE_EXCLUSION rows."""
-    cut = n - EDGE_EXCLUSION
-    block = mat[:cut, :cut]
-    if sp.issparse(block):
-        return float(np.sqrt(abs(block.multiply(block.conj())).sum()))
-    return float(np.linalg.norm(block))
+def _interior_norm(mat, n: int, modes: int = 1) -> float:
+    """Frobenius norm of the sparse block of a ``modes``-mode operator
+    (basis dim n**modes) whose every mode index lies below
+    n - EDGE_EXCLUSION."""
+    good = np.arange(n) < n - EDGE_EXCLUSION
+    ix = np.flatnonzero(functools.reduce(np.logical_and.outer, [good] * modes))
+    block = mat[ix][:, ix]
+    return float(np.sqrt(abs(block.multiply(block.conj())).sum()))
 
 
 def ladder_check(omega: float = 1.0, n: int = 40, *, mass: float = 1.0,
@@ -232,6 +234,32 @@ def three_mode_operators(n: int, *, mass: float = 1.0, hbar: float = 1.0,
     return xs, ps
 
 
+def _coordinates(xs, ps, basis: str):
+    """Particle-coordinate operators from the three modes' X and P.
+
+    ``basis='particle'`` takes one mode per particle; ``basis='jacobi'``
+    takes the modes as Jacobi modes, X_i = sum_a R_ai Q_a.
+    """
+    if basis == "jacobi":
+        r = JACOBI_MATRIX
+        return ([sum(r[a, i] * xs[a] for a in range(3)) for i in range(3)],
+                [sum(r[a, i] * ps[a] for a in range(3)) for i in range(3)])
+    if basis != "particle":
+        raise ValueError(f"unknown basis {basis!r}")
+    return xs, ps
+
+
+def _hamiltonian(xs, ps, omega: float, gamma: float, mass: float):
+    """Harmonic trap + harmonic interaction from particle X_i and P_i."""
+    h = sum((ps[i] @ ps[i]) / (2 * mass)
+            + 0.5 * mass * omega**2 * (xs[i] @ xs[i]) for i in range(3))
+    if gamma:
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            d = xs[i] - xs[j]
+            h = h + gamma * (d @ d)
+    return h.tocsr()
+
+
 def interacting_hamiltonian(n: int, omega: float, gamma: float, *,
                             mass: float = 1.0, hbar: float = 1.0,
                             basis: str = "particle"):
@@ -243,32 +271,8 @@ def interacting_hamiltonian(n: int, omega: float, gamma: float, *,
     interaction's cross terms cancel and the operator becomes a sum of
     factor-local pieces.
     """
-    xs, ps = three_mode_operators(n, mass=mass, hbar=hbar, omega=omega)
-    if basis == "jacobi":
-        r = JACOBI_MATRIX
-        xs = [sum(r[a, i] * xs[a] for a in range(3)) for i in range(3)]
-        ps = [sum(r[a, i] * ps[a] for a in range(3)) for i in range(3)]
-    elif basis != "particle":
-        raise ValueError(f"unknown basis {basis!r}")
-    h = sum((ps[i] @ ps[i]) / (2 * mass)
-            + 0.5 * mass * omega**2 * (xs[i] @ xs[i]) for i in range(3))
-    if gamma:
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            d = xs[i] - xs[j]
-            h = h + gamma * (d @ d)
-    return h.tocsr()
-
-
-def _interior_mask3(n: int) -> np.ndarray:
-    good = np.arange(n) < n - EDGE_EXCLUSION
-    return (good[:, None, None] & good[None, :, None]
-            & good[None, None, :]).ravel()
-
-
-def _interior_norm3(mat, n: int) -> float:
-    ix = np.where(_interior_mask3(n))[0]
-    block = mat[ix][:, ix]
-    return float(np.sqrt(abs(block.multiply(block.conj())).sum()))
+    modes = three_mode_operators(n, mass=mass, hbar=hbar, omega=omega)
+    return _hamiltonian(*_coordinates(*modes, basis), omega, gamma, mass)
 
 
 def superintegrability_check(n: int = 12, *, omega: float = 1.0,
@@ -291,86 +295,53 @@ def superintegrability_check(n: int = 12, *, omega: float = 1.0,
           + 0.5 * mass * omega**2 * (xs[i] @ xs[i]) for i in range(3)]
     h0 = (hs[0] + hs[1] + hs[2]).tocsr()
 
-    invariants = {}
-    for i in range(3):
-        invariants[f"h{i + 1}"] = hs[i]
+    invariants = {f"h{i + 1}": hs[i] for i in range(3)}
     for i, j in ((0, 1), (1, 2), (2, 0)):
         invariants[f"L{i + 1}{j + 1}"] = xs[i] @ ps[j] - ps[i] @ xs[j]
         invariants[f"Demkov{i + 1}{j + 1}"] = (
             ps[i] @ ps[j] + (mass * omega) ** 2 * xs[i] @ xs[j])
 
-    residuals = {}
-    for name, op in invariants.items():
-        residuals[name] = _interior_norm3(h0 @ op - op @ h0, n)
+    residuals = {name: _interior_norm(h0 @ op - op @ h0, n, 3)
+                 for name, op in invariants.items()}
 
     # interacting case: the relative angular momentum survives
-    h_int_j = interacting_hamiltonian(n, omega, gamma_control, mass=mass,
-                                      hbar=hbar, basis="jacobi")
+    h_int_j = _hamiltonian(*_coordinates(xs, ps, "jacobi"), omega,
+                           gamma_control, mass)
     l_rel = xs[1] @ ps[2] - ps[1] @ xs[2]
-    residuals["L_rel_interacting"] = _interior_norm3(
-        h_int_j @ l_rel - l_rel @ h_int_j, n)
+    residuals["L_rel_interacting"] = _interior_norm(
+        h_int_j @ l_rel - l_rel @ h_int_j, n, 3)
 
     # negative control: h1 fails against the interacting Hamiltonian
-    h_int = interacting_hamiltonian(n, omega, gamma_control, mass=mass,
-                                    hbar=hbar, basis="particle")
-    negative = _interior_norm3(h_int @ hs[0] - hs[0] @ h_int, n)
+    h_int = _hamiltonian(xs, ps, omega, gamma_control, mass)
+    negative = _interior_norm(h_int @ hs[0] - hs[0] @ h_int, n, 3)
 
-    worst = max(residuals.values())
-    report = CheckReport("superintegrability", tolerance, worst,
-                         details={**residuals,
-                                  "negative_control": negative,
-                                  "negative_control_ok": negative > 1e-2})
-    return report
+    return CheckReport("superintegrability", tolerance, max(residuals.values()),
+                       details={**residuals, "negative_control": negative,
+                                "negative_control_ok": negative > 1e-2})
 
 
 # ---------------------------------------------------------------------------
 # locality of gold-separable Hamiltonians
 # ---------------------------------------------------------------------------
 
-def _partial_averages(h: np.ndarray, dims):
-    """H as a 6-index tensor, its partial averages over the two
-    complementary factors of each factor, and tr(H) / dim."""
-    d1, d2, d3 = dims
-    ht = h.reshape(d1, d2, d3, d1, d2, d3)
-    a1 = np.einsum("ibcjbc->ij", ht) / (d2 * d3)
-    a2 = np.einsum("aicajc->ij", ht) / (d1 * d3)
-    a3 = np.einsum("abiabj->ij", ht) / (d1 * d2)
-    return ht, (a1, a2, a3), np.trace(h) / (d1 * d2 * d3)
+def local_projection(h: np.ndarray, dims):
+    """Hilbert-Schmidt projection of H onto sums of single-factor operators.
 
-
-def best_local_residual(h: np.ndarray, dims) -> float:
-    """Relative distance of H from the span of single-factor operators.
-
-    Projects H onto sum_i A_i (x) identity in the Hilbert-Schmidt inner
-    product and returns |H - P(H)|_F / |H|_F.
+    Returns ((A_1, A_2, A_3), |H - P(H)|_F / |H|_F), where
+    P(H) = A_1 (x) 1 (x) 1 + 1 (x) A_2 (x) 1 + 1 (x) 1 (x) A_3 and
+    each A_i is H's partial average over the other two factors, with
+    the trace part split evenly across the three factors.
     """
-    d1, d2, d3 = dims
-    dim = d1 * d2 * d3
+    ht = h.reshape(*dims, *dims)
+    c0 = np.trace(h) / h.shape[0]
+    factors = []
+    for sub, d in zip(("ibcjbc->ij", "aicajc->ij", "abiabj->ij"), dims):
+        a = np.einsum(sub, ht) / (h.shape[0] // d)
+        factors.append(a - (np.trace(a) / d - c0 / 3) * np.eye(d))
     eyes = [np.eye(d) for d in dims]
-    ht, (a1, a2, a3), c0 = _partial_averages(h, dims)
-    a1 = a1 - np.trace(a1) / d1 * eyes[0]
-    a2 = a2 - np.trace(a2) / d2 * eyes[1]
-    a3 = a3 - np.trace(a3) / d3 * eyes[2]
-    # uniform signature: (i,j) factor 1, (a,b) factor 2, (c,d) factor 3
-    local = (np.einsum("ij,ab,cd->iacjbd", a1, eyes[1], eyes[2])
-             + np.einsum("ij,ab,cd->iacjbd", eyes[0], a2, eyes[2])
-             + np.einsum("ij,ab,cd->iacjbd", eyes[0], eyes[1], a3)
-             + c0 * np.einsum("ij,ab,cd->iacjbd", eyes[0], eyes[1], eyes[2]))
-    resid = np.linalg.norm((ht - local).reshape(dim, dim))
-    return float(resid / np.linalg.norm(h))
-
-
-def extract_local_factors(h: np.ndarray, dims):
-    """The three factor-local Hamiltonians of a (numerically) local H.
-
-    The trace-part constant is split evenly across the factors.
-    """
-    d1, d2, d3 = dims
-    _, (a1, a2, a3), c0 = _partial_averages(h, dims)
-    a1 = a1 - (np.trace(a1) / d1 - c0 / 3) * np.eye(d1)
-    a2 = a2 - (np.trace(a2) / d2 - c0 / 3) * np.eye(d2)
-    a3 = a3 - (np.trace(a3) / d3 - c0 / 3) * np.eye(d3)
-    return a1, a2, a3
+    local = sum(functools.reduce(np.kron, eyes[:i] + [f] + eyes[i + 1:])
+                for i, f in enumerate(factors))
+    return tuple(factors), float(np.linalg.norm(h - local) / np.linalg.norm(h))
 
 
 def gold_locality_check(spec: ModelSpec, n: int = 8, *,
@@ -389,31 +360,25 @@ def gold_locality_check(spec: ModelSpec, n: int = 8, *,
     verdict = classify_separability(spec)
     if verdict.grade != "gold":
         raise NotGold(f"model classifies {verdict.grade!r}, not gold")
-    if spec.interaction.kind == "harmonic":
-        gamma = spec.interaction.gamma
-    else:
-        gamma = 0.0
+    if not spec.harmonic_like:
+        raise UnsupportedTrap(
+            f"the gold check needs a harmonic-like trap, got {spec.trap.kind!r}")
+    gamma = spec.interaction.gamma if spec.interaction.kind == "harmonic" else 0.0
     omega = spec.effective_omega()
-    h = interacting_hamiltonian(n, omega, gamma, mass=spec.mass,
-                                hbar=spec.hbar, basis="jacobi").toarray()
+    xs, ps = _coordinates(*three_mode_operators(
+        n, mass=spec.mass, hbar=spec.hbar, omega=omega), "jacobi")
+    h = _hamiltonian(xs, ps, omega, gamma, spec.mass).toarray()
     if isinstance(spec.trap, QuadraticTrap):
         # linear and constant trap terms stay local; add them explicitly
-        xs, _ = three_mode_operators(n, mass=spec.mass, hbar=spec.hbar,
-                                     omega=omega)
-        r = JACOBI_MATRIX
-        xs_p = [sum(r[a, i] * xs[a] for a in range(3)) for i in range(3)]
-        for i in range(3):
-            h = h + (spec.trap.b * xs_p[i]).toarray()
+        for x in xs:
+            h = h + (spec.trap.b * x).toarray()
         h = h + 3 * spec.trap.c * np.eye(n**3)
 
     dims = (n, n, n)
-    resid_local = best_local_residual(h, dims)
+    factors, resid_local = local_projection(h, dims)
 
     # entanglement invariance under the factorized evolution
-    a1, a2, a3 = extract_local_factors(h, dims)
-    e1 = np.linalg.eigvalsh(a1)
-    e2 = np.linalg.eigvalsh(a2)
-    e3 = np.linalg.eigvalsh(a3)
+    e1, e2, e3 = (np.linalg.eigvalsh(a) for a in factors)
     energies = e1[:, None, None] + e2[None, :, None] + e3[None, None, :]
     rng = np.random.default_rng(seed)
     cut = TPSBipartition((0,), (1, 2))

@@ -19,8 +19,6 @@ import math
 
 import numpy as np
 
-SQRT3 = math.sqrt(3.0)
-
 JACOBI_MATRIX = np.array([
     [1 / math.sqrt(3), 1 / math.sqrt(3), 1 / math.sqrt(3)],
     [1 / math.sqrt(2), -1 / math.sqrt(2), 0.0],
@@ -42,7 +40,6 @@ PERMUTATIONS = (
     (3, 2, 1),
 )
 
-IDENTITY = (1, 2, 3)
 TRANSPOSITIONS = ((2, 1, 3), (1, 3, 2), (3, 2, 1))
 THREE_CYCLES = ((2, 3, 1), (3, 1, 2))
 

@@ -62,19 +62,24 @@ def analytic_spectrum(trap, n_max: int, *, mass: float = 1.0,
                            est_error=np.zeros(n_max + 1))
 
 
+def _stencil(dx: float, order: int, mass: float, hbar: float):
+    """The one finite-difference table: weights (t_0, t_1, ...) of
+    -(hbar^2/2m) d^2/dx^2 at ``order``, t_k on the k-th off-diagonal."""
+    c = hbar**2 / (2 * mass * dx**2)
+    if order == 2:
+        return (2 * c, -c)
+    if order == 4:
+        return (30 * c / 12, -16 * c / 12, c / 12)
+    raise ValueError("order must be 2 or 4")
+
+
 def kinetic_fd_1d(n: int, dx: float, *, order: int = 4, mass: float = 1.0,
                   hbar: float = 1.0) -> sp.dia_matrix:
     """-(hbar^2/2m) d^2/dx^2 with implicit Dirichlet beyond the ends.
 
     ``order`` 2 is the 3-point stencil, 4 the 5-point one.
     """
-    c = hbar**2 / (2 * mass * dx**2)
-    if order == 2:
-        coeffs = (2 * c, -c)
-    elif order == 4:
-        coeffs = (30 * c / 12, -16 * c / 12, c / 12)
-    else:
-        raise ValueError("order must be 2 or 4")
+    coeffs = _stencil(dx, order, mass, hbar)
     offsets = range(1 - len(coeffs), len(coeffs))
     return sp.diags([np.full(n - abs(k), coeffs[abs(k)]) for k in offsets],
                     offsets)
@@ -83,10 +88,11 @@ def kinetic_fd_1d(n: int, dx: float, *, order: int = 4, mass: float = 1.0,
 def _solve_banded(x, v, n_max, order, mass, hbar):
     """Lowest n_max+1 eigenvalues and the lower band form of H = T + V."""
     n = len(x)
-    t = kinetic_fd_1d(n, x[1] - x[0], order=order, mass=mass, hbar=hbar)
-    # lower band form: row k holds the k-th subdiagonal
-    bands = np.array([np.pad(t.diagonal(-k), (0, k))
-                      for k in range(order // 2 + 1)])
+    coeffs = _stencil(x[1] - x[0], order, mass, hbar)
+    # lower band form: row k holds the k-th subdiagonal, zero past its end
+    bands = np.zeros((len(coeffs), n))
+    for k, t in enumerate(coeffs):
+        bands[k, :n - k] = t
     bands[0] += v
     vals = eig_banded(bands, lower=True, eigvals_only=True, select="i",
                       select_range=(0, n_max))

@@ -15,6 +15,11 @@ by the fit protocol below; see the README erratum notes):
 * unitary contact: Girardeau mapping; energies are sums over strictly
   increasing triples of one-body levels, each level carrying a
   six-dimensional ordering-sector degeneracy space.
+
+Every spectrum here, like ``composition.compose_spectrum``, is cut by
+the package's one energy window, ``composition.window_top``: a
+degenerate run of levels (``composition.group_by_energy``) is kept whole
+when its lowest member lies within ``energy_cutoff(e_max, tol)``.
 """
 
 from __future__ import annotations
@@ -26,8 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import default_group_tolerance, energy_cutoff
-from .errors import GridResolutionTooCoarse, TruncationRisk
+from .composition import (
+    GROUP_TOLERANCE,
+    _triples,
+    default_group_tolerance,
+    energy_cutoff,
+    group_by_energy,
+    window_top,
+)
+from .errors import GridResolutionTooCoarse
 from .grids import Grid1D
 # ordering sector (i, j, k) is the region x_i > x_j > x_k
 from .jacobi import PERMUTATIONS as SECTOR_ORDER, perm_sign
@@ -54,30 +66,52 @@ def relative_frequency(omega: float, gamma: float, mass: float = 1.0) -> float:
     return math.sqrt(omega**2 + 6.0 * gamma / mass)
 
 
+def _cylindrical_levels(energy, mu_step: int, e_max: float):
+    """Levels of a cylindrically separable model inside the window.
+
+    The one enumerator of both such models.  ``energy(eta, nu, amu)``
+    is the model's level energy at amu = |mu|, a multiple of
+    ``mu_step``, and grows in each quantum number.  It is evaluated on
+    numpy index arrays over a box that holds every level a kept run
+    can reach; the window is ``window_top`` at GROUP_TOLERANCE.  Levels
+    are sorted by energy, then (eta, nu, mu).
+    """
+    reach = energy_cutoff(energy_cutoff(e_max, GROUP_TOLERANCE),
+                          GROUP_TOLERANCE)
+    sizes = []
+    for unit in np.diag((1, 1, mu_step)):  # each quantum number, the others 0
+        n = 0
+        while energy(*(n * unit)) <= reach:
+            n += 1
+        sizes.append(n)
+    eta, nu, j = np.ix_(*map(np.arange, sizes))
+    e = energy(eta, nu, mu_step * j)
+    eta, nu, j = np.nonzero(e <= window_top(e[e <= reach], e_max,
+                                            GROUP_TOLERANCE))
+    e, amu = e[eta, nu, j], mu_step * j
+    signed = amu > 0  # the -|mu| copies
+    eta, nu, e = (np.concatenate([q, q[signed]]) for q in (eta, nu, e))
+    mu = np.concatenate([amu, -amu[signed]])
+    order = np.lexsort((mu, nu, eta, e))
+    return list(map(SilverLevel, eta[order].tolist(), nu[order].tolist(),
+                    mu[order].tolist(), e[order].tolist()))
+
+
 def harm_harm_spectrum(omega: float, gamma: float, e_max: float, *,
                        mass: float = 1.0, hbar: float = 1.0):
     """Levels E = hbar*omega*(eta+1/2) + hbar*omega_rel*(2 nu + |mu| + 1).
 
-    mu runs over all signed integers.  Levels are returned sorted by
-    energy, then (eta, nu, mu).
+    mu runs over all signed integers.  The window is the package's one
+    rule (``composition.window_top`` at GROUP_TOLERANCE): a level
+    within the grouping tolerance of e_max is kept, with its whole
+    degenerate multiplet.  Levels are returned sorted by energy, then
+    (eta, nu, mu).
     """
     w_rel = relative_frequency(omega, gamma, mass)
     e_com0 = 0.5 * hbar * omega
-    e_rel0 = hbar * w_rel
-    levels = []
-    eta = 0
-    while e_com0 + hbar * omega * eta + e_rel0 <= e_max + 1e-12:
-        e_com = e_com0 + hbar * omega * eta
-        kmax = int(math.floor((e_max - e_com - e_rel0) / (hbar * w_rel) + 1e-12))
-        for kk in range(kmax + 1):
-            for nu in range(kk // 2 + 1):
-                amu = kk - 2 * nu
-                e = e_com + hbar * w_rel * (kk + 1)
-                for mu in ({0} if amu == 0 else {-amu, amu}):
-                    levels.append(SilverLevel(eta, nu, mu, e))
-        eta += 1
-    levels.sort(key=lambda l: (l.energy, l.eta, l.nu, l.mu))
-    return levels
+    return _cylindrical_levels(
+        lambda eta, nu, amu: (e_com0 + hbar * omega * eta
+                              + hbar * w_rel * (2 * nu + amu + 1)), 1, e_max)
 
 
 def cm_angular_exponent(gamma: float, *, mass: float = 1.0,
@@ -96,24 +130,15 @@ def calogero_moser_spectrum(omega: float, gamma: float, e_max: float, *,
 
     E = hbar*omega*(eta + 1/2) + hbar*omega*(2 nu + |mu| + 3 alpha + 1),
     i.e. the constant block is (3/2)(2 + sqrt(1 + 4 m gamma / hbar^2)).
+    The window and the order are those of ``harm_harm_spectrum``.
     """
     if gamma <= 0:
         raise ValueError("Calogero-Moser requires gamma > 0")
     alpha = cm_angular_exponent(gamma, mass=mass, hbar=hbar)
     base = hbar * omega * (1.5 + 3 * alpha)  # eta = nu = mu = 0
-    levels = []
-    eta = 0
-    while base + hbar * omega * eta <= e_max + 1e-12:
-        rem = (e_max - base) / (hbar * omega) - eta
-        for nu in range(int(rem // 2) + 1):
-            jmax = int((rem - 2 * nu) // 3)
-            for j in range(jmax + 1):
-                e = base + hbar * omega * (eta + 2 * nu + 3 * j)
-                for mu in ({0} if j == 0 else {-3 * j, 3 * j}):
-                    levels.append(SilverLevel(eta, nu, mu, e))
-        eta += 1
-    levels.sort(key=lambda l: (l.energy, l.eta, l.nu, l.mu))
-    return levels
+    return _cylindrical_levels(
+        lambda eta, nu, amu: base + hbar * omega * (eta + 2 * nu + amu),
+        3, e_max)
 
 
 # ---------------------------------------------------------------------------
@@ -166,37 +191,16 @@ def unitary_contact_spectrum(sigma1: OneBodySpectrum, e_max: float):
     """Girardeau spectrum: sums over fermionic triples n1 < n2 < n3.
 
     Each level is six-fold degenerate for distinguishable particles
-    (one copy per ordering sector).  A level within the grouping
-    tolerance of e_max (``default_group_tolerance``, as in
-    ``compose_spectrum``) is kept, so triples that are degenerate in
+    (one copy per ordering sector).  The triples come from the
+    enumerator of ``compose_spectrum``, with its window (the package's
+    one rule, ``composition.window_top`` at
+    ``default_group_tolerance``), so triples that are degenerate in
     exact arithmetic are never split by rounding at the edge.  Raises
     TruncationRisk when the one-body spectrum is too shallow to exhaust
-    the window.
+    the window.  Levels are sorted by energy, then base.
     """
-    eps = np.asarray(sigma1.energies, dtype=float)
-    if len(eps) < 3:
-        raise TruncationRisk("need at least three one-body levels")
-    cut = energy_cutoff(e_max, default_group_tolerance(sigma1))
-    if eps[0] + eps[1] + eps[-1] <= cut:
-        raise TruncationRisk(
-            f"one-body spectrum too shallow: eps0+eps1+eps_max = "
-            f"{eps[0] + eps[1] + eps[-1]:.6g} does not exceed the window "
-            f"edge {cut:.6g} (e_max = {e_max:.6g})")
-    levels = []
-    n = len(eps)
-    for i in range(n - 2):
-        if eps[i] + eps[i + 1] + eps[i + 2] > cut:
-            break
-        for j in range(i + 1, n - 1):
-            if eps[i] + eps[j] + eps[j + 1] > cut:
-                break
-            for k in range(j + 1, n):
-                e = eps[i] + eps[j] + eps[k]
-                if e > cut:
-                    break
-                levels.append(ContactLevel(float(e), (i, j, k), 6))
-    levels.sort(key=lambda l: (l.energy, l.base))
-    return levels
+    return [ContactLevel(e, base, 6) for e, base in _triples(
+        sigma1, e_max, default_group_tolerance(sigma1), distinct=True)]
 
 
 def girardeau_wavefunction(base, amplitudes, orbitals: np.ndarray,
@@ -340,13 +344,18 @@ def fit_cm_exponent(omega: float, gamma: float, *, mass: float = 1.0,
 # ---------------------------------------------------------------------------
 
 def silver_levels_to_csv(model: str, levels) -> str:
-    """Columns: model, eta, nu, mu, energy, degeneracy (within the list)."""
-    groups: dict = {}
-    for lv in levels:
-        groups.setdefault(round(lv.energy, 9), []).append(lv)
+    """Columns: model, eta, nu, mu, energy, degeneracy.
+
+    A level's degeneracy is the size of its degenerate run
+    (``composition.group_by_energy`` at GROUP_TOLERANCE) within the list.
+    """
+    size = {}
+    for run in group_by_energy(sorted(
+            (lv.energy, i) for i, lv in enumerate(levels)), GROUP_TOLERANCE):
+        size.update((i, len(run)) for _, i in run)
     return _csv_text(["model", "eta", "nu", "mu", "energy", "degeneracy"], (
-        [model, lv.eta, lv.nu, lv.mu, repr(lv.energy),
-         len(groups[round(lv.energy, 9)])] for lv in levels))
+        [model, lv.eta, lv.nu, lv.mu, repr(lv.energy), size[i]]
+        for i, lv in enumerate(levels)))
 
 
 def contact_levels_to_csv(levels) -> str:

@@ -24,8 +24,6 @@ from .jacobi import (
     perm_sign,
 )
 
-S3_IRREP_LABELS = ("[3]", "[21]", "[1^3]")
-
 
 @dataclass(frozen=True)
 class GroupSpec:

@@ -131,6 +131,18 @@ def test_gold_check_on_silver_model_exits_1(configs, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("config", [
+    "trap.kind = infinite_well\ntrap.length = 5.0\n",
+    "trap.kind = none\ninteraction.kind = harmonic\ninteraction.gamma = 0.5\n",
+], ids=["infinite_well", "no_trap"])
+def test_gold_check_without_harmonic_trap_exits_2(config, tmp_path):
+    path = tmp_path / "gold.cfg"
+    path.write_text(config, encoding="utf-8")
+    code, _ = run("verify", "--config", path, "--check", "gold",
+                  "--out", tmp_path / "out")
+    assert code == 2
+
+
 def test_missing_config_exits_2(tmp_path):
     code, _ = run("classify", "--config", tmp_path / "absent.cfg")
     assert code == 2

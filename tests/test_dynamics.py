@@ -1,19 +1,20 @@
-import numpy as np
 import pytest
 
 from threebody1d.dynamics import (
-    best_local_residual,
     gold_locality_check,
     interacting_hamiltonian,
     ladder_check,
+    local_projection,
     superintegrability_check,
 )
-from threebody1d.errors import NotGold
+from threebody1d.errors import NotGold, UnsupportedTrap
 from threebody1d.models import (
     HarmonicInteraction,
     HarmonicTrap,
+    InfiniteWell,
     InverseSquareInteraction,
     ModelSpec,
+    NoTrap,
     QuadraticTrap,
 )
 
@@ -52,11 +53,19 @@ class TestGoldLocality:
         with pytest.raises(NotGold):
             gold_locality_check(spec)
 
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(InfiniteWell(5.0)),
+        ModelSpec(NoTrap(), HarmonicInteraction(0.5)),
+    ], ids=["infinite_well", "no_trap"])
+    def test_gold_model_without_harmonic_trap_is_unsupported(self, spec):
+        with pytest.raises(UnsupportedTrap, match="harmonic-like trap"):
+            gold_locality_check(spec)
+
     def test_particle_basis_is_not_local(self):
         # negative control: the pair terms couple the particle modes, so
         # the same operator in the particle basis is far from local
         n = 8
         h = interacting_hamiltonian(n, 1.0, 0.5, basis="particle").toarray()
-        assert best_local_residual(h, (n, n, n)) > 1e-2
+        assert local_projection(h, (n, n, n))[1] > 1e-2
         h0 = interacting_hamiltonian(n, 1.0, 0.0, basis="particle").toarray()
-        assert best_local_residual(h0, (n, n, n)) < 1e-12
+        assert local_projection(h0, (n, n, n))[1] < 1e-12

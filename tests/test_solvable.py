@@ -3,8 +3,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from threebody1d.composition import compose_spectrum
+from threebody1d.composition import (
+    GROUP_TOLERANCE,
+    compose_spectrum,
+    energy_cutoff,
+)
 from threebody1d.errors import GridResolutionTooCoarse, TruncationRisk
 from threebody1d.grids import Grid1D, PolarGrid
 from threebody1d.models import HarmonicTrap
@@ -12,6 +18,7 @@ from threebody1d.onebody import analytic_spectrum, grid_orbitals_1d
 from threebody1d.solvable import (
     SECTOR_ORDER,
     SectorState,
+    SilverLevel,
     bosonic_amplitudes,
     calogero_moser_spectrum,
     cm_angular_exponent,
@@ -249,3 +256,70 @@ def test_csv_and_json_exports(harmonic_sigma1):
     j = sector_state_to_json(levels[0].sector_basis()[0])
     assert '"base": [0, 1, 2]' in j
     assert str(list(SECTOR_ORDER[0])) in j
+
+
+def test_csv_degeneracy_counts_runs_not_rounding_buckets():
+    # 2e-13 apart, but on either side of a 9-decimal rounding boundary
+    levels = [SilverLevel(0, 0, 0, 1.0000000004999),
+              SilverLevel(1, 0, 0, 1.0000000005001),
+              SilverLevel(0, 1, 0, 3.0)]
+    rows = silver_levels_to_csv("harm_harm", levels).splitlines()[1:]
+    assert [r.rsplit(",", 1)[1] for r in rows] == ["2", "2", "1"]
+
+
+def _one_body(omega):
+    return analytic_spectrum(HarmonicTrap(omega), 40)
+
+
+# spectrum(omega, gamma, e_max) and the lowest member energy of a level
+SPECTRA = {
+    "harm_harm": (harm_harm_spectrum, lambda lv, eps: lv.energy),
+    "calogero_moser": (calogero_moser_spectrum, lambda lv, eps: lv.energy),
+    "noninteracting": (
+        lambda w, g, e_max: compose_spectrum(_one_body(w), e_max),
+        lambda lv, eps: min(eps[i] + eps[j] + eps[k]
+                            for i, j, k in lv.multisets)),
+    "unitary_contact": (
+        lambda w, g, e_max: unitary_contact_spectrum(_one_body(w), e_max),
+        lambda lv, eps: lv.energy),
+}
+
+
+class TestWindow:
+    """The one energy window of the closed-form spectra."""
+
+    def test_calogero_keeps_the_multiplet_at_e_max(self):
+        # e_max equals a level energy; flooring (e_max - base) / omega
+        # in quanta dropped that level's whole multiplet
+        w, g, e_max = 1.1349896734588634, 1.0043112108304078, 20.83827543607893
+        wider = [lv for lv in calogero_moser_spectrum(w, g, e_max + 5.0)
+                 if lv.energy <= e_max]
+        assert len(wider) == 155
+        assert calogero_moser_spectrum(w, g, e_max) == wider
+
+    @given(model=st.sampled_from(sorted(SPECTRA)),
+           omega=st.floats(0.5, 2.0), gamma=st.floats(0.01, 2.0),
+           level=st.integers(0, 10**6), shift=st.sampled_from(
+               [-2.0, -1.0, -1e-7, 0.0, 1e-7, 1.0, 2.0]))
+    @example(model="calogero_moser", omega=1.1349896734588634,
+             gamma=1.0043112108304078, level=150, shift=0.0)
+    @settings(max_examples=150, deadline=None)
+    def test_window_is_the_wider_spectrum_cut_at_energy_cutoff(
+            self, model, omega, gamma, level, shift):
+        """spectrum(e_max) is spectrum(wider window) cut at
+        energy_cutoff(e_max): every level at or below the cutoff, and past
+        it only members of a degenerate run that began at or below it."""
+        spectrum, lowest = SPECTRA[model]
+        eps = _one_body(omega).energies.tolist()
+        wide = spectrum(omega, gamma, 16 * omega)
+        lows = [lowest(lv, eps) for lv in wide]
+        # e_max at, or a few grouping widths from, a level in the lower half
+        e_at = lows[level % (len(lows) // 2 + 1)]
+        e_max = e_at * (1 + shift * GROUP_TOLERANCE)
+        cut = energy_cutoff(e_max, GROUP_TOLERANCE)
+        levels = spectrum(omega, gamma, e_max)
+        assert levels == wide[:len(levels)]
+        n_in = sum(1 for e in lows if e <= cut)
+        assert len(levels) >= n_in
+        for e in lows[n_in:len(levels)]:
+            assert e - lows[n_in - 1] <= GROUP_TOLERANCE * max(1.0, abs(e))
