@@ -234,19 +234,11 @@ def three_mode_operators(n: int, *, mass: float = 1.0, hbar: float = 1.0,
     return xs, ps
 
 
-def _coordinates(xs, ps, basis: str):
-    """Particle-coordinate operators from the three modes' X and P.
-
-    ``basis='particle'`` takes one mode per particle; ``basis='jacobi'``
-    takes the modes as Jacobi modes, X_i = sum_a R_ai Q_a.
-    """
-    if basis == "jacobi":
-        r = JACOBI_MATRIX
-        return ([sum(r[a, i] * xs[a] for a in range(3)) for i in range(3)],
-                [sum(r[a, i] * ps[a] for a in range(3)) for i in range(3)])
-    if basis != "particle":
-        raise ValueError(f"unknown basis {basis!r}")
-    return xs, ps
+def _from_jacobi(ops):
+    """Particle-coordinate operators X_i = sum_a R_ai Q_a from Jacobi-mode
+    operators Q_a (momenta likewise)."""
+    return [sum(JACOBI_MATRIX[a, i] * ops[a] for a in range(3))
+            for i in range(3)]
 
 
 def _hamiltonian(xs, ps, omega: float, gamma: float, mass: float):
@@ -271,8 +263,12 @@ def interacting_hamiltonian(n: int, omega: float, gamma: float, *,
     interaction's cross terms cancel and the operator becomes a sum of
     factor-local pieces.
     """
-    modes = three_mode_operators(n, mass=mass, hbar=hbar, omega=omega)
-    return _hamiltonian(*_coordinates(*modes, basis), omega, gamma, mass)
+    xs, ps = three_mode_operators(n, mass=mass, hbar=hbar, omega=omega)
+    if basis == "jacobi":
+        xs, ps = _from_jacobi(xs), _from_jacobi(ps)
+    elif basis != "particle":
+        raise ValueError(f"unknown basis {basis!r}")
+    return _hamiltonian(xs, ps, omega, gamma, mass)
 
 
 def superintegrability_check(n: int = 12, *, omega: float = 1.0,
@@ -305,7 +301,7 @@ def superintegrability_check(n: int = 12, *, omega: float = 1.0,
                  for name, op in invariants.items()}
 
     # interacting case: the relative angular momentum survives
-    h_int_j = _hamiltonian(*_coordinates(xs, ps, "jacobi"), omega,
+    h_int_j = _hamiltonian(_from_jacobi(xs), _from_jacobi(ps), omega,
                            gamma_control, mass)
     l_rel = xs[1] @ ps[2] - ps[1] @ xs[2]
     residuals["L_rel_interacting"] = _interior_norm(
@@ -354,7 +350,8 @@ def gold_locality_check(spec: ModelSpec, n: int = 8, *,
     operators must (a) be a sum of three factor-local operators in the
     Jacobi mode basis and (b) leave the Schmidt spectrum of random
     states invariant under its own evolution with respect to the gold
-    cut.  Raises NotGold for non-gold models.
+    cut.  Raises NotGold for non-gold models and UnsupportedTrap for a
+    gold model whose trap is not harmonic-like (no mode frequency).
     """
     spec = validate_model(spec)
     verdict = classify_separability(spec)
@@ -365,8 +362,8 @@ def gold_locality_check(spec: ModelSpec, n: int = 8, *,
             f"the gold check needs a harmonic-like trap, got {spec.trap.kind!r}")
     gamma = spec.interaction.gamma if spec.interaction.kind == "harmonic" else 0.0
     omega = spec.effective_omega()
-    xs, ps = _coordinates(*three_mode_operators(
-        n, mass=spec.mass, hbar=spec.hbar, omega=omega), "jacobi")
+    xs, ps = (_from_jacobi(ops) for ops in three_mode_operators(
+        n, mass=spec.mass, hbar=spec.hbar, omega=omega))
     h = _hamiltonian(xs, ps, omega, gamma, spec.mass).toarray()
     if isinstance(spec.trap, QuadraticTrap):
         # linear and constant trap terms stay local; add them explicitly

@@ -16,10 +16,8 @@ by the fit protocol below; see the README erratum notes):
   increasing triples of one-body levels, each level carrying a
   six-dimensional ordering-sector degeneracy space.
 
-Every spectrum here, like ``composition.compose_spectrum``, is cut by
-the package's one energy window, ``composition.window_top``: a
-degenerate run of levels (``composition.group_by_energy``) is kept whole
-when its lowest member lies within ``energy_cutoff(e_max, tol)``.
+Every spectrum here is cut by the package's one energy window,
+``composition.window_top``, as ``compose_spectrum`` is.
 """
 
 from __future__ import annotations
@@ -193,11 +191,9 @@ def unitary_contact_spectrum(sigma1: OneBodySpectrum, e_max: float):
     Each level is six-fold degenerate for distinguishable particles
     (one copy per ordering sector).  The triples come from the
     enumerator of ``compose_spectrum``, with its window (the package's
-    one rule, ``composition.window_top`` at
-    ``default_group_tolerance``), so triples that are degenerate in
-    exact arithmetic are never split by rounding at the edge.  Raises
-    TruncationRisk when the one-body spectrum is too shallow to exhaust
-    the window.  Levels are sorted by energy, then base.
+    one rule, ``composition.window_top``) and its TruncationRisk check,
+    so triples degenerate in exact arithmetic are never split by
+    rounding at the edge.  Levels are sorted by energy, then base.
     """
     return [ContactLevel(e, base, 6) for e, base in _triples(
         sigma1, e_max, default_group_tolerance(sigma1), distinct=True)]

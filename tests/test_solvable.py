@@ -285,6 +285,34 @@ SPECTRA = {
 }
 
 
+def _loop_levels(energy, mu_step, e_max):
+    """Reference enumeration: plain loops over (eta, nu, j), |mu| = mu_step * j."""
+    out = []
+    for eta in range(int(e_max) + 1):
+        for nu in range(int(e_max) + 1):
+            for j in range(int(e_max) + 1):
+                e = energy(eta, nu, mu_step * j)
+                if e <= e_max:
+                    out += [SilverLevel(eta, nu, mu, e) for mu in sorted(
+                        {-mu_step * j, mu_step * j})]
+    return sorted(out, key=lambda l: (l.energy, l.eta, l.nu, l.mu))
+
+
+@pytest.mark.parametrize("omega, gamma", [(1.0, 0.5), (0.83, 0.21), (1.21, 1.7)])
+def test_cylindrical_spectra_equal_loop_reference(omega, gamma):
+    # same float expressions as the closed forms, so levels are bit-equal;
+    # e_max = 9.3 omega lies between levels for these couplings
+    e_max = 9.3 * omega
+    w_rel = relative_frequency(omega, gamma)
+    base = omega * (1.5 + 3 * cm_angular_exponent(gamma))
+    hh = _loop_levels(lambda eta, nu, amu: (
+        0.5 * omega + omega * eta + w_rel * (2 * nu + amu + 1)), 1, e_max)
+    cm = _loop_levels(lambda eta, nu, amu: (
+        base + omega * (eta + 2 * nu + amu)), 3, e_max)
+    assert harm_harm_spectrum(omega, gamma, e_max) == hh
+    assert calogero_moser_spectrum(omega, gamma, e_max) == cm
+
+
 class TestWindow:
     """The one energy window of the closed-form spectra."""
 
