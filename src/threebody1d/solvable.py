@@ -76,12 +76,10 @@ def _cylindrical_levels(energy, mu_step: int, e_max: float):
     """
     reach = energy_cutoff(energy_cutoff(e_max, GROUP_TOLERANCE),
                           GROUP_TOLERANCE)
-    sizes = []
-    for unit in np.diag((1, 1, mu_step)):  # each quantum number, the others 0
-        n = 0
-        while energy(*(n * unit)) <= reach:
-            n += 1
-        sizes.append(n)
+    # box edges: the first value of each quantum number, the others at
+    # 0, whose level lies past the reach
+    sizes = [next(n for n in itertools.count() if energy(*(n * unit)) > reach)
+             for unit in np.diag((1, 1, mu_step))]
     eta, nu, j = np.ix_(*map(np.arange, sizes))
     e = energy(eta, nu, mu_step * j)
     eta, nu, j = np.nonzero(e <= window_top(e[e <= reach], e_max,
@@ -128,7 +126,8 @@ def calogero_moser_spectrum(omega: float, gamma: float, e_max: float, *,
 
     E = hbar*omega*(eta + 1/2) + hbar*omega*(2 nu + |mu| + 3 alpha + 1),
     i.e. the constant block is (3/2)(2 + sqrt(1 + 4 m gamma / hbar^2)).
-    The window and the order are those of ``harm_harm_spectrum``.
+    The window (``composition.window_top`` at GROUP_TOLERANCE) and the
+    order are those of ``harm_harm_spectrum``.
     """
     if gamma <= 0:
         raise ValueError("Calogero-Moser requires gamma > 0")
