@@ -77,8 +77,9 @@ def _cylindrical_levels(energy, mu_step: int, e_max: float):
     reach = energy_cutoff(energy_cutoff(e_max, GROUP_TOLERANCE),
                           GROUP_TOLERANCE)
     # box edges: the first value of each quantum number, the others at
-    # 0, whose level lies past the reach
-    sizes = [next(n for n in itertools.count() if energy(*(n * unit)) > reach)
+    # 0, whose level is not within the reach (a NaN e_max gives no box)
+    sizes = [next(n for n in itertools.count()
+                  if not energy(*(n * unit)) <= reach)
              for unit in np.diag((1, 1, mu_step))]
     eta, nu, j = np.ix_(*map(np.arange, sizes))
     e = energy(eta, nu, mu_step * j)

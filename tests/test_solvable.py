@@ -325,6 +325,10 @@ class TestWindow:
         assert len(wider) == 155
         assert calogero_moser_spectrum(w, g, e_max) == wider
 
+    def test_nan_window_is_empty(self):
+        assert harm_harm_spectrum(1.0, 0.5, math.nan) == []
+        assert calogero_moser_spectrum(1.0, 1.0, math.nan) == []
+
     @given(model=st.sampled_from(sorted(SPECTRA)),
            omega=st.floats(0.5, 2.0), gamma=st.floats(0.01, 2.0),
            level=st.integers(0, 10**6), shift=st.sampled_from(
