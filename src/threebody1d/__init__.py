@@ -45,23 +45,6 @@ from .symmetry import (
     project,
     representation_on_space,
 )
-from .oracle import (
-    OracleResult,
-    WaveFunctionGrid,
-    full_spectrum_3d,
-    relative_spectrum_2d,
-)
-from .dynamics import (
-    SchmidtResult,
-    TPSBipartition,
-    TruncatedState,
-    evolve,
-    gold_locality_check,
-    ladder_check,
-    schmidt,
-    schmidt_invariance_check,
-    superintegrability_check,
-)
 
 # seconds this file took to import the package; manifest.json records it
 _import_s = _perf_counter() - _import_start

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -239,6 +240,17 @@ def _write_manifest(args, t0: float):
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _finite_float(text: str) -> float:
+    """``--emax``: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="threebody1d",
@@ -252,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="tabulate a model spectrum")
     sp.add_argument("--config", required=True)
     sp.add_argument("--model", required=True, choices=MODELS)
-    sp.add_argument("--emax", type=float, required=True)
+    sp.add_argument("--emax", type=_finite_float, required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_spectrum)
 
@@ -265,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     ir = sub.add_parser("irreps", help="per-level irrep multiplicities")
     ir.add_argument("--config", required=True)
     ir.add_argument("--model", required=True, choices=MODELS)
-    ir.add_argument("--emax", type=float, required=True)
+    ir.add_argument("--emax", type=_finite_float, required=True)
     ir.add_argument("--out", required=True)
     ir.set_defaults(func=cmd_irreps)
 

@@ -10,6 +10,9 @@ a full solve would build.  Eigenvectors are computed by banded inverse
 iteration (two O(N) band solves each), and only where they are read:
 the box-edge checks and ``grid_orbitals_1d``.  The oracle's separable
 2D solves reuse this banded path.
+
+scipy is imported at the first grid solve (or ``kinetic_fd_1d`` call),
+not with this module: the closed forms need numpy alone.
 """
 
 from __future__ import annotations
@@ -20,14 +23,32 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.linalg before scipy.sparse: in this order the package's first
-# scipy import took about 15 ms less (scipy 1.17, 2-core host)
-from scipy.linalg import eig_banded, solve_banded
-import scipy.sparse as sp
 
 from .errors import BoxTooSmall, GridMismatch, TooFewPoints, UnsupportedTrap
 from .grids import Grid1D
 from .models import HarmonicTrap, InfiniteWell
+
+_BANDED = ("eig_banded", "solve_banded")
+
+
+def _bind_banded():
+    """Bind scipy's ``eig_banded`` and ``solve_banded`` as globals of
+    this module, importing scipy.linalg on the first call.  A binding
+    already in place (a wrapper put there from outside) is kept."""
+    g = globals()
+    if all(name in g for name in _BANDED):
+        return
+    import scipy.linalg
+    for name in _BANDED:
+        g.setdefault(name, getattr(scipy.linalg, name))
+
+
+def __getattr__(name):
+    # PEP 562: ``onebody.eig_banded`` resolves before the first solve
+    if name in _BANDED:
+        _bind_banded()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -74,11 +95,13 @@ def _stencil(dx: float, order: int, mass: float, hbar: float):
 
 
 def kinetic_fd_1d(n: int, dx: float, *, order: int = 4, mass: float = 1.0,
-                  hbar: float = 1.0) -> sp.dia_matrix:
+                  hbar: float = 1.0) -> scipy.sparse.dia_matrix:
     """-(hbar^2/2m) d^2/dx^2 with implicit Dirichlet beyond the ends.
 
     ``order`` 2 is the 3-point stencil, 4 the 5-point one.
     """
+    import scipy.sparse as sp
+
     coeffs = _stencil(dx, order, mass, hbar)
     offsets = range(1 - len(coeffs), len(coeffs))
     return sp.diags([np.full(n - abs(k), coeffs[abs(k)]) for k in offsets],
@@ -94,6 +117,7 @@ def _solve_banded(x, v, n_max, order, mass, hbar):
     for k, t in enumerate(coeffs):
         bands[k, :n - k] = t
     bands[0] += v
+    _bind_banded()
     vals = eig_banded(bands, lower=True, eigvals_only=True, select="i",
                       select_range=(0, n_max))
     return vals, bands
@@ -117,6 +141,7 @@ def _band_eigenvectors(bands, vals):
                    + [bands])
     shift = 1e-14 * np.max(np.abs(bands))
     start = np.random.default_rng(2024).standard_normal(n)
+    _bind_banded()
     vecs = np.empty((n, len(vals)))
     for i, lam in enumerate(vals):
         a = ab.copy()

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import threebody1d
 from threebody1d import (
     ContactInteraction,
     HarmonicInteraction,
@@ -18,6 +24,20 @@ from threebody1d.oracle import (
     _cube_hamiltonian,
     relative_potential_smooth,
 )
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """(*args) -> CompletedProcess of ``python *args`` in a new interpreter
+    that imports the package from the same source tree as the tests."""
+    src = str(Path(threebody1d.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -202,3 +202,57 @@ def test_manifest_records_import_time(configs, tmp_path):
     assert set(manifest) == {"command", "config", "import_s", "output_dir",
                              "seed", "tool_version", "wall_time_s"}
     assert manifest["import_s"] == round(threebody1d._import_s, 6) > 0
+
+
+@pytest.mark.parametrize("command", ("spectrum", "irreps"))
+@pytest.mark.parametrize("emax", ("nan", "inf", "-inf"))
+def test_non_finite_emax_exits_2(command, emax, configs, tmp_path):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        cli.build_parser().parse_args([
+            command, "--config", str(configs["noninteracting"]),
+            "--model", "noninteracting", f"--emax={emax}", "--out",
+            str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--emax: must be finite" in err.getvalue()
+
+
+def test_python_m_runs_the_cli(configs, fresh_python):
+    argv = ("classify", "--config", str(configs["calogero"]))
+    proc = fresh_python("-m", "threebody1d", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(*argv)[1]
+
+
+def test_closed_form_commands_do_not_load_scipy(configs, tmp_path,
+                                                 fresh_python):
+    commands = [["classify", "--config", configs["noninteracting"]]]
+    for model in MODELS:
+        commands.append(["spectrum", "--config", configs[model], "--model",
+                         model, "--emax", EMAX, "--out", tmp_path / model])
+    for model in ("noninteracting", "unitary-contact"):
+        commands.append(["irreps", "--config", configs[model], "--model",
+                         model, "--emax", EMAX, "--out", tmp_path / model])
+    oracle = ["verify", "--config", configs["harm-harm"], "--check", "oracle",
+              "--out", tmp_path / "fresh"]
+    proc = fresh_python("-c", f"""if True:
+        import contextlib, io, sys
+        from threebody1d import cli
+
+        def main(argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+
+        for argv in {[[str(a) for a in c] for c in commands]!r}:
+            main(argv)
+        loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        assert not loaded, loaded
+        main({[str(a) for a in oracle]!r})
+        assert "scipy.linalg" in sys.modules
+        """)
+    assert proc.returncode == 0, proc.stderr
+    # loading scipy on first use leaves the report as the in-process run
+    # (scipy already loaded) writes it
+    assert run(*oracle[:-1], tmp_path / "warm")[0] == 0
+    assert (tmp_path / "fresh" / "report.json").read_bytes() \
+        == (tmp_path / "warm" / "report.json").read_bytes()

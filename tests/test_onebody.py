@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import diags
 
+from threebody1d import onebody, oracle
 from threebody1d.errors import BoxTooSmall, GridMismatch, TooFewPoints, UnsupportedTrap
 from threebody1d.grids import Grid1D
 from threebody1d.models import HarmonicTrap, InfiniteWell, QuadraticTrap, TabulatedTrap
@@ -155,3 +156,42 @@ def test_csv_export():
     assert lines[0] == "n,energy,source,est_error"
     assert lines[1].startswith("0,0.5,analytic")
     assert len(lines) == 4
+
+
+def test_banded_solver_resolves_before_any_solve(fresh_python):
+    # scipy loads on first use, yet a lookup by name (as a tracer wrapping
+    # the solver does) already finds the function the solves will call
+    proc = fresh_python("-c", """if True:
+        import sys
+        from threebody1d import onebody
+        assert "scipy.linalg" not in sys.modules
+        found = getattr(onebody, "eig_banded")
+        import scipy.linalg
+        assert found is scipy.linalg.eig_banded is vars(onebody)["eig_banded"]
+        """)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("install", ["setattr", "module-dict"])
+def test_replaced_eig_banded_is_the_one_the_solvers_call(
+        monkeypatch, install, spec_harm_harm):
+    from scipy.linalg import eig_banded
+
+    # back to the state before the first solve: nothing bound yet
+    for name in ("eig_banded", "solve_banded"):
+        monkeypatch.delitem(vars(onebody), name, raising=False)
+    sizes = []
+
+    def counting(bands, *args, **kwargs):
+        sizes.append(bands.shape[1])
+        return eig_banded(bands, *args, **kwargs)
+
+    if install == "setattr":
+        monkeypatch.setattr(onebody, "eig_banded", counting)
+    else:  # in place before scipy loads, with solve_banded still unbound
+        monkeypatch.setitem(vars(onebody), "eig_banded", counting)
+    grid_spectrum_1d(HarmonicTrap(1.0), Grid1D(-8.0, 8.0, 256), 3)
+    assert sizes == [256, 128]
+    oracle.relative_spectrum_2d(spec_harm_harm, Grid1D(-7.0, 7.0, 48), k=6)
+    assert sizes[2:] == [48]
+    assert onebody.eig_banded is counting
