@@ -48,6 +48,10 @@ from .symmetry import (
 
 MODELS = ("noninteracting", "harm-harm", "calogero", "unitary-contact")
 CHECKS = ("oracle", "ladder", "invariants", "schmidt", "gold")
+# Widest energy window of ``spectrum`` and ``irreps``, in quanta of
+# hbar*omega.  The states in a window grow as the cube of its width: at
+# 240 quanta a spectrum takes 2-5 s and 110-350 MB on a 2-core host.
+MAX_WINDOW_QUANTA = 250
 
 
 def _require_omega(spec):
@@ -70,6 +74,15 @@ def _require_gamma(spec, kinds, model):
     if inter.gamma is None:
         raise ConfigError(f"missing required key 'interaction.gamma' for {model!r}")
     return inter.gamma
+
+
+def _check_window(spec, emax):
+    """Refuse a window wider than MAX_WINDOW_QUANTA before enumerating it."""
+    quanta = emax / (spec.hbar * _require_omega(spec))
+    if quanta > MAX_WINDOW_QUANTA:
+        raise ConfigError(
+            f"--emax {emax:g} is {quanta:g} quanta of hbar*omega, above the "
+            f"limit of {MAX_WINDOW_QUANTA}")
 
 
 def _one_body(spec, emax, floor):
@@ -106,6 +119,7 @@ def _spectrum_csv(spec, model, emax):
 
 def cmd_spectrum(args) -> int:
     spec = load_config(args.config)
+    _check_window(spec, args.emax)
     csv_text = _spectrum_csv(spec, args.model, args.emax)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -115,7 +129,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_irreps(args) -> int:
     spec = load_config(args.config)
-    _require_omega(spec)
+    _check_window(spec, args.emax)
     decomps = []
     group = build_group("S3")
     if args.model == "unitary-contact":

@@ -9,6 +9,7 @@ integers so the orthogonality relations hold exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -213,6 +214,19 @@ def project(group: GroupSpec, irrep: str, mats: np.ndarray,
     return u[:, :rank]
 
 
+def _index_arrays(mats: np.ndarray):
+    """perm with D(g)[perm[g, i], i] = 1 when every D(g) is a 0/1 matrix
+    with exactly one 1 per column; None for any other input."""
+    if not mats.size:
+        return None
+    # as many nonzeros as columns, and a 1 at each column's maximum
+    perm = mats.argmax(axis=-2)
+    if np.count_nonzero(mats) != perm.size or not np.all(
+            np.take_along_axis(mats, perm[:, None, :], axis=-2) == 1):
+        return None
+    return perm
+
+
 def decompose_eigenspace(group: GroupSpec, mats: np.ndarray,
                          tol: float = 1e-6) -> dict:
     """Irrep multiplicities {label: m} of an invariant (eigen)space.
@@ -224,12 +238,27 @@ def decompose_eigenspace(group: GroupSpec, mats: np.ndarray,
     not a representation has no multiplicities, so it raises
     NonIntegerMultiplicity (CLI exit 3) even when its characters
     happen to be integers.
+
+    A set of 0/1 matrices with exactly one 1 per column (any dtype, such
+    as the permutation representations of ``orbit_rep_for_multisets``
+    and ``sector_permutation_rep``) is read as index arrays: the table
+    is checked exactly, perm[g][perm[h]] == perm[gh], and each trace is
+    a count of fixed points.  Where such a set breaks the table the
+    dense residual is at least sqrt(2), so the verdict and the
+    multiplicities are those of the dense check, which every other
+    input takes (``_is_homomorphism``, tolerance 1e-8).
     """
-    if not _is_homomorphism(group, mats):
+    perm = _index_arrays(mats)
+    if perm is None:
+        is_rep = _is_homomorphism(group, mats)
+        traces = np.einsum("gii->g", mats)
+    else:
+        is_rep = np.array_equal(perm[:, perm], perm[group.table])
+        traces = np.count_nonzero(perm == np.arange(perm.shape[1]), axis=1)
+    if not is_rep:
         raise NonIntegerMultiplicity(
             "matrices do not satisfy the multiplication table, so they "
             "are not a representation and have no multiplicities")
-    traces = np.einsum("gii->g", mats)
     mult = {}
     for label, chi in group.irreps.items():
         m = float(np.real(np.dot(chi, traces))) / group.order
@@ -249,17 +278,11 @@ def decompose_eigenspace(group: GroupSpec, mats: np.ndarray,
 # standard actions
 # ---------------------------------------------------------------------------
 
-def _permutation_rep(group: GroupSpec, points, image) -> np.ndarray:
-    """0/1 matrices of the group permuting ``points``.
-
-    D(g) sends the unit vector of ``points[i]`` to that of
-    ``image(g, points[i])``, which must be another member of ``points``.
-    """
-    index = {pt: i for i, pt in enumerate(points)}
-    mats = np.zeros((group.order, len(points), len(points)))
-    for gi, g in enumerate(group.elements):
-        for i, pt in enumerate(points):
-            mats[gi, index[image(g, pt)], i] = 1.0
+def _permutation_matrices(perm: np.ndarray) -> np.ndarray:
+    """0/1 matrices D(g)[perm[g, i], i] = 1 of the index arrays ``perm``."""
+    order, dim = perm.shape
+    mats = np.zeros((order, dim, dim))
+    mats[np.arange(order)[:, None], perm, np.arange(dim)] = 1.0
     return mats
 
 
@@ -270,8 +293,10 @@ def sector_permutation_rep(group: GroupSpec | None = None) -> np.ndarray:
     sends it to (p(i), p(j), p(k)).  The action is simply transitive,
     i.e. this is the regular representation.
     """
-    return _permutation_rep(group or build_group("S3"), PERMUTATIONS,
-                            perm_compose)
+    group = group or build_group("S3")
+    return _permutation_matrices(np.array(
+        [[PERMUTATIONS.index(perm_compose(p, s)) for s in PERMUTATIONS]
+         for p in group.elements]))
 
 
 def orbit_rep_for_multisets(multisets, group: GroupSpec | None = None):
@@ -281,11 +306,22 @@ def orbit_rep_for_multisets(multisets, group: GroupSpec | None = None):
     degeneracy space of a composed level, and the representation
     matrices U(p)|n1 n2 n3> = |n_{p^-1(1)} n_{p^-1(2)} n_{p^-1(3)}>.
     """
+    group = group or build_group("S3")
     triples = tuple(sorted({t for ms in multisets for t in permutations(ms)}))
-    mats = _permutation_rep(
-        group or build_group("S3"), triples,
-        lambda p, t: tuple(t[p.index(b)] for b in (1, 2, 3)))
-    return mats, triples
+    labels = np.array(triples).reshape(-1, 3)
+    lo = labels.min(initial=0)
+    base = int(labels.max(initial=0)) - int(lo) + 1
+
+    def keys(t):
+        # lexicographic order of the triples is the order of their keys
+        t = t - lo
+        return (t[..., 0] * base + t[..., 1]) * base + t[..., 2]
+
+    # U(p) moves label b of a triple to slot p(b)
+    inverses = np.array([[p.index(b) for b in (1, 2, 3)]
+                         for p in group.elements])
+    perm = np.searchsorted(keys(labels), keys(labels[:, inverses]).T)
+    return _permutation_matrices(perm), triples
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +357,21 @@ def fermionic_spectrum(towers):
 
 
 def decompositions_to_json(decompositions) -> str:
-    """JSON export: [{"E": ..., "multiplicities": {irrep: m}}, ...]."""
-    rows = [
-        {"E": float(e), "multiplicities": {k: int(v) for k, v in mult.items()}}
-        for e, mult in sorted(decompositions, key=lambda t: t[0])
-    ]
-    return json.dumps(rows, indent=2, sort_keys=True)
+    """JSON export: [{"E": ..., "multiplicities": {irrep: m}}, ...].
+
+    The text is ``json.dumps(rows, indent=2, sort_keys=True)`` byte for
+    byte; each distinct multiplicity block is formatted once.
+    """
+    blocks: dict = {}
+    rows = []
+    for e, mult in sorted(decompositions, key=lambda t: t[0]):
+        key = tuple(mult.items())
+        if key not in blocks:
+            blocks[key] = json.dumps(
+                {k: int(v) for k, v in key}, indent=2, sort_keys=True
+            ).replace("\n", "\n    ")
+        e = float(e)  # json writes a finite float as its repr
+        text = repr(e) if math.isfinite(e) else json.dumps(e)
+        rows.append(f'  {{\n    "E": {text},\n'
+                    f'    "multiplicities": {blocks[key]}\n  }}')
+    return "[\n" + ",\n".join(rows) + "\n]" if rows else "[]"

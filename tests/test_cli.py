@@ -4,19 +4,21 @@ Table outputs are compared byte for byte with the files under
 ``tests/golden/``; ``manifest.json`` is left out because it records the
 wall time.  The golden files hold exactly what the commands below write
 for the four configs in ``CONFIGS`` (harmonic trap, omega = 1) at
-emax 12.
+emax 12, and for the benchmark's large ``irreps`` window (noninteracting,
+emax 30).
 """
 
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from threebody1d import cli
+from threebody1d import HarmonicTrap, ModelSpec, NoInteraction, cli
 from threebody1d.dynamics import CheckReport
-from threebody1d.errors import NonIntegerMultiplicity
+from threebody1d.errors import ConfigError, NonIntegerMultiplicity
 
 GOLDEN = Path(__file__).parent / "golden"
 EMAX = "12"
@@ -51,10 +53,10 @@ def run(*argv):
     return code, out.getvalue()
 
 
-def table_outputs(command, config, model, out):
+def table_outputs(command, config, model, out, emax=EMAX):
     """The files ``spectrum`` or ``irreps`` writes, except the manifest."""
     code, _ = run(command, "--config", config, "--model", model,
-                  "--emax", EMAX, "--out", out)
+                  "--emax", emax, "--out", out)
     assert code == 0
     names = ("levels.csv",) if command == "spectrum" \
         else ("irreps.json", "towers.json")
@@ -80,6 +82,13 @@ def test_irreps_match_golden_and_rerun(model, configs, tmp_path):
     assert first == again
     for name, data in first.items():
         assert data == golden(f"irreps-{model}-{name}")
+
+
+def test_irreps_large_window_matches_golden(configs, tmp_path):
+    outputs = table_outputs("irreps", configs["noninteracting"],
+                            "noninteracting", tmp_path, emax="30")
+    for name, data in outputs.items():
+        assert data == golden(f"irreps-noninteracting-30-{name}")
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -215,6 +224,29 @@ def test_non_finite_emax_exits_2(command, emax, configs, tmp_path):
             str(tmp_path)])
     assert exc.value.code == 2
     assert "--emax: must be finite" in err.getvalue()
+
+
+@pytest.mark.parametrize("command", ("spectrum", "irreps"))
+@pytest.mark.parametrize("model", MODELS)
+def test_huge_emax_exits_2_at_once(command, model, configs, tmp_path):
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", str(configs[model]), "--model",
+                         model, "--emax", "1e6", "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"limit of {cli.MAX_WINDOW_QUANTA}" in err.getvalue()
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("omega", (0.8, 1.0, 1.25))
+def test_window_limit_admits_120_quanta(omega):
+    # the widest window the tests and the benchmark ask for
+    spec = ModelSpec(HarmonicTrap(omega), NoInteraction())
+    cli._check_window(spec, 120 * omega)
+    with pytest.raises(ConfigError, match="limit"):
+        cli._check_window(spec, (cli.MAX_WINDOW_QUANTA + 1) * omega)
 
 
 def test_python_m_runs_the_cli(configs, fresh_python):

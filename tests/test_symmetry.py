@@ -1,4 +1,6 @@
 import math
+from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threebody1d import jacobi as J
-from threebody1d.errors import NonIntegerMultiplicity, NotClosed, NotUnitary
+from threebody1d import symmetry
+from threebody1d.errors import (
+    NonIntegerMultiplicity,
+    NonInvariantSubspace,
+    NotClosed,
+    NotUnitary,
+)
 from threebody1d.models import HarmonicTrap
 from threebody1d.onebody import analytic_spectrum
 from threebody1d.composition import compose_spectrum, multiset_class
@@ -31,6 +39,29 @@ CLASS_TABLE = {
     "threefold": {"[3]": 1, "[21]": 1},
     "nondegenerate": {"[3]": 1},
 }
+
+MULTISETS = st.lists(st.tuples(*[st.integers(-3, 8)] * 3), max_size=6)
+
+
+def loop_orbit_rep(multisets, group):
+    """Reference for ``orbit_rep_for_multisets``: one lambda call per
+    (element, triple)."""
+    triples = tuple(sorted({t for ms in multisets for t in permutations(ms)}))
+    index = {t: i for i, t in enumerate(triples)}
+    image = lambda p, t: tuple(t[p.index(b)] for b in (1, 2, 3))  # noqa: E731
+    mats = np.zeros((group.order, len(triples), len(triples)))
+    for gi, p in enumerate(group.elements):
+        for i, t in enumerate(triples):
+            mats[gi, index[image(p, t)], i] = 1.0
+    return mats, triples
+
+
+def outcome(group, mats):
+    """The multiplicities, or the type and message of the error raised."""
+    try:
+        return decompose_eigenspace(group, mats)
+    except (NonIntegerMultiplicity, NonInvariantSubspace) as exc:
+        return type(exc), str(exc)
 
 
 class TestGroups:
@@ -177,6 +208,7 @@ class TestDecomposition:
         g = build_group("S3")
         mats = sector_permutation_rep().astype(complex)
         mats[1] *= 0.9  # break the representation
+        assert symmetry._index_arrays(mats) is None  # the dense check
         with pytest.raises(NonIntegerMultiplicity):
             decompose_eigenspace(g, mats)
 
@@ -186,8 +218,56 @@ class TestDecomposition:
         g = build_group("S3")
         mats = sector_permutation_rep().astype(complex)
         mats[0] *= 1 + 1e-10  # m_[3] = 1 + 1e-10
+        assert symmetry._index_arrays(mats) is None  # the dense check
         with pytest.raises(NonIntegerMultiplicity, match="not an integer"):
             decompose_eigenspace(g, mats, tol=1e-12)
+
+    def test_corrupted_permutation_index_raises(self):
+        g = build_group("S3")
+        mats, triples = orbit_rep_for_multisets([(0, 1, 2)], g)
+        p = g.index((2, 1, 3))
+        col = triples.index((0, 1, 2))
+        row = mats[p, :, col].argmax()
+        mats[p, row, col], mats[p, (row + 1) % 6, col] = 0.0, 1.0
+        # still one 1 per column, so the exact check reads it
+        assert symmetry._index_arrays(mats) is not None
+        assert not symmetry._is_homomorphism(g, mats)
+        with pytest.raises(NonIntegerMultiplicity, match="multiplication table"):
+            decompose_eigenspace(g, mats)
+
+    @pytest.mark.parametrize("entry", (1.0, 0.5, -1.0, np.nan))
+    def test_other_sets_take_the_dense_check(self, entry):
+        # a second nonzero in one column of the regular representation
+        g = build_group("S3")
+        mats = sector_permutation_rep(g)
+        row = mats[3, :, 2].argmin()
+        mats[3, row, 2] = entry
+        assert symmetry._index_arrays(mats) is None
+        with pytest.raises(NonIntegerMultiplicity, match="table"):
+            decompose_eigenspace(g, mats)
+
+    @settings(max_examples=150, deadline=None)
+    @given(MULTISETS.filter(bool), st.data())
+    def test_exact_check_agrees_with_dense(self, multisets, data):
+        # a permutation representation with its points relabelled and up
+        # to two indices overwritten: any one-per-column 0/1 set
+        g = build_group("S3")
+        mats, _ = orbit_rep_for_multisets(multisets, g)
+        d = mats.shape[1]
+        sigma = np.array(data.draw(st.permutations(range(d))))
+        perm = sigma[mats.argmax(axis=1)[:, np.argsort(sigma)]]
+        for _ in range(data.draw(st.integers(0, 2))):
+            perm[data.draw(st.integers(0, 5)),
+                 data.draw(st.integers(0, d - 1))] = data.draw(
+                     st.integers(0, d - 1))
+        mats = np.stack([np.eye(d)[:, row] for row in perm])
+        assert np.array_equal(symmetry._index_arrays(mats), perm)
+        fast = outcome(g, mats)
+        with mock.patch.object(symmetry, "_index_arrays", return_value=None):
+            dense = outcome(g, mats)
+        assert fast == dense
+        table_error = isinstance(fast, tuple) and "table" in fast[1]
+        assert symmetry._is_homomorphism(g, mats) != table_error
 
     def test_dimension_bookkeeping(self, harmonic_sigma1):
         g = build_group("S3")
@@ -196,6 +276,29 @@ class TestDecomposition:
             mult = decompose_eigenspace(g, mats.astype(complex))
             total = sum(m * g.dims[mu] for mu, m in mult.items())
             assert total == lv.degeneracy == len(triples)
+
+
+class TestPermutationMatrices:
+    @settings(max_examples=150, deadline=None)
+    @given(MULTISETS)
+    def test_orbit_rep_equals_loop_reference(self, multisets):
+        g = build_group("S3")
+        mats, triples = orbit_rep_for_multisets(multisets, g)
+        ref_mats, ref_triples = loop_orbit_rep(multisets, g)
+        assert triples == ref_triples
+        assert mats.dtype == ref_mats.dtype and mats.shape == ref_mats.shape
+        assert np.array_equal(mats, ref_mats)
+
+    def test_empty_space_has_no_content(self):
+        g = build_group("S3")
+        mats, triples = orbit_rep_for_multisets([], g)
+        assert mats.shape == (6, 0, 0) and triples == ()
+        assert decompose_eigenspace(g, mats) == dict.fromkeys(g.irreps, 0)
+
+    def test_sector_rep_is_the_multiplication_table(self):
+        g = build_group("S3")
+        mats = sector_permutation_rep(g)
+        assert np.array_equal(symmetry._index_arrays(mats), g.table)
 
 
 class TestTowers:
