@@ -50,7 +50,9 @@ MODELS = ("noninteracting", "harm-harm", "calogero", "unitary-contact")
 CHECKS = ("oracle", "ladder", "invariants", "schmidt", "gold")
 # Widest energy window of ``spectrum`` and ``irreps``, in quanta of
 # hbar*omega.  The states in a window grow as the cube of its width: at
-# 240 quanta a spectrum takes 2-5 s and 110-350 MB on a 2-core host.
+# 250 quanta, on a 2-core host, ``spectrum`` takes 2.5-5.8 s and
+# 120-390 MB peak RSS for the four models, and ``irreps`` 7.9 s and
+# 140 MB (noninteracting) or 4.5 s and 260 MB (unitary contact).
 MAX_WINDOW_QUANTA = 250
 
 
@@ -66,6 +68,8 @@ def _require_gamma(spec, kinds, model):
         raise ConfigError(
             f"model {model!r} needs interaction.kind in {kinds}, "
             f"got {inter.kind!r}")
+    if inter.kind == "none":
+        return None
     if inter.kind == "contact":
         if not inter.unitary:
             raise ConfigError(
@@ -96,6 +100,7 @@ def _one_body(spec, emax, floor):
 
 def _spectrum_csv(spec, model, emax):
     if model == "noninteracting":
+        _require_gamma(spec, ("none",), model)
         return levels_to_csv(compose_spectrum(_one_body(spec, emax, 4), emax))
     if model == "harm-harm":
         omega = _require_omega(spec)
@@ -139,9 +144,10 @@ def cmd_irreps(args) -> int:
         decomps = [(lv.energy, regular) for lv in unitary_contact_spectrum(
             _one_body(spec, args.emax, 8), args.emax)]
     elif args.model == "noninteracting":
+        _require_gamma(spec, ("none",), args.model)
         for lv in compose_spectrum(_one_body(spec, args.emax, 4), args.emax):
-            mats, _ = orbit_rep_for_multisets(lv.multisets, group)
-            decomps.append((lv.energy, decompose_eigenspace(group, mats)))
+            perm, _ = orbit_rep_for_multisets(lv.multisets, group)
+            decomps.append((lv.energy, decompose_eigenspace(group, perm)))
     else:
         raise ConfigError(
             f"irreps supports noninteracting and unitary-contact, got {args.model!r}")

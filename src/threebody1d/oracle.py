@@ -30,7 +30,6 @@ so repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -89,12 +88,11 @@ class OracleResult:
     """Lowest eigenvalues of a grid solve, ascending.
 
     ``convergence_delta`` is |E - E_halved| per eigenvalue when the
-    solve was refined, else None; ``wall_time`` covers the whole call.
+    solve was refined, else None.
     """
 
     eigenvalues: np.ndarray
     convergence_delta: np.ndarray | None
-    wall_time: float
 
 
 def _eigsh_deterministic(h, k):
@@ -199,7 +197,6 @@ def relative_spectrum_2d(spec: ModelSpec, grid=None, k: int = 8, *,
     delta; for the singular models a delta above 1e-3 relative raises
     SingularPotentialUnresolved.
     """
-    t0 = time.perf_counter()
     if grid is None:
         grid = default_relative_grid(spec)
     singular = isinstance(grid, PolarGrid)
@@ -217,8 +214,7 @@ def relative_spectrum_2d(spec: ModelSpec, grid=None, k: int = 8, *,
             raise SingularPotentialUnresolved(
                 f"grid-halving instability {np.max(delta / np.abs(vals)):.2e} "
                 "relative; refine the polar grid")
-    return OracleResult(eigenvalues=vals, convergence_delta=delta,
-                        wall_time=time.perf_counter() - t0)
+    return OracleResult(eigenvalues=vals, convergence_delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +369,9 @@ def full_spectrum_3d(spec: ModelSpec, grid: Grid1D, k: int = 4, *,
         raise ResourceBudgetExceeded(f"n per axis {grid.n} > 128")
     if k > 20:
         raise ResourceBudgetExceeded(f"k = {k} > 20")
-    t0 = time.perf_counter()
     vals = _block_spectrum(_hamiltonian_3d(spec, grid), k)
     delta = None
     if refine:
         cvals = _block_spectrum(_hamiltonian_3d(spec, grid.halved()), k)
         delta = np.abs(vals - cvals)
-    return OracleResult(eigenvalues=vals, convergence_delta=delta,
-                        wall_time=time.perf_counter() - t0)
+    return OracleResult(eigenvalues=vals, convergence_delta=delta)

@@ -1,7 +1,12 @@
 """Closed-form spectra for the three solvable interacting models.
 
-Shipped coefficient conventions (both verified against the grid oracle
-by the fit protocol below; see the README erratum notes):
+Shipped coefficient conventions.  Two radicals printed in the source
+paper are errata: sqrt(omega^2 + 4 m gamma) for the harmonic-interaction
+relative frequency and sqrt(1 + 2 m^2 gamma) in the Calogero-Moser
+exponent.  The package ships the radicals derived from the Hamiltonian,
+sqrt(omega^2 + 6 gamma / m) and sqrt(1 + 4 m gamma / hbar^2), and the
+grid-oracle fits below (``fit_harm_harm_frequency``, ``fit_cm_exponent``)
+pick the derived radical over the printed one:
 
 * harmonic trap + harmonic interaction: the relative frequency is
   omega_rel = sqrt(omega^2 + 6*gamma/m).  The three pair terms sum to

@@ -214,47 +214,35 @@ def project(group: GroupSpec, irrep: str, mats: np.ndarray,
     return u[:, :rank]
 
 
-def _index_arrays(mats: np.ndarray):
-    """perm with D(g)[perm[g, i], i] = 1 when every D(g) is a 0/1 matrix
-    with exactly one 1 per column; None for any other input."""
-    if not mats.size:
-        return None
-    # as many nonzeros as columns, and a 1 at each column's maximum
-    perm = mats.argmax(axis=-2)
-    if np.count_nonzero(mats) != perm.size or not np.all(
-            np.take_along_axis(mats, perm[:, None, :], axis=-2) == 1):
-        return None
-    return perm
-
-
-def decompose_eigenspace(group: GroupSpec, mats: np.ndarray,
+def decompose_eigenspace(group: GroupSpec, rep: np.ndarray,
                          tol: float = 1e-6) -> dict:
     """Irrep multiplicities {label: m} of an invariant (eigen)space.
 
+    ``rep`` is the representation in one of two forms:
+
+    - an integer (order, d) array of index arrays, the permutation
+      representation D(g) e_i = e_{perm[g, i]} (as from
+      ``orbit_rep_for_multisets`` and ``sector_permutation_rep``).  The
+      multiplication table is checked exactly, perm[g][perm[h]] ==
+      perm[gh], and each trace is a count of fixed points;
+    - an (order, d, d) array of matrices (as from
+      ``representation_on_space``).  The table is checked by the dense
+      residual of D(g) D(h) - D(gh) (``_is_homomorphism``, tolerance
+      1e-8), and the traces are the diagonal sums.
+
     m_mu = (1/|G|) sum_g chi_mu(g)* tr D(g), rounded to the nearest
     integer; a deviation above ``tol`` is a hard error because it
-    signals a missed symmetry or a broken representation.  The matrices
-    are first checked against the multiplication table: a set that is
-    not a representation has no multiplicities, so it raises
-    NonIntegerMultiplicity (CLI exit 3) even when its characters
-    happen to be integers.
-
-    A set of 0/1 matrices with exactly one 1 per column (any dtype, such
-    as the permutation representations of ``orbit_rep_for_multisets``
-    and ``sector_permutation_rep``) is read as index arrays: the table
-    is checked exactly, perm[g][perm[h]] == perm[gh], and each trace is
-    a count of fixed points.  Where such a set breaks the table the
-    dense residual is at least sqrt(2), so the verdict and the
-    multiplicities are those of the dense check, which every other
-    input takes (``_is_homomorphism``, tolerance 1e-8).
+    signals a missed symmetry or a broken representation.  A set that
+    breaks the table is not a representation and has no
+    multiplicities, so it raises NonIntegerMultiplicity (CLI exit 3)
+    even when its characters happen to be integers.
     """
-    perm = _index_arrays(mats)
-    if perm is None:
-        is_rep = _is_homomorphism(group, mats)
-        traces = np.einsum("gii->g", mats)
+    if rep.ndim == 2:
+        is_rep = np.array_equal(rep[:, rep], rep[group.table])
+        traces = np.count_nonzero(rep == np.arange(rep.shape[1]), axis=1)
     else:
-        is_rep = np.array_equal(perm[:, perm], perm[group.table])
-        traces = np.count_nonzero(perm == np.arange(perm.shape[1]), axis=1)
+        is_rep = _is_homomorphism(group, rep)
+        traces = np.einsum("gii->g", rep)
     if not is_rep:
         raise NonIntegerMultiplicity(
             "matrices do not satisfy the multiplication table, so they "
@@ -267,7 +255,7 @@ def decompose_eigenspace(group: GroupSpec, mats: np.ndarray,
             raise NonIntegerMultiplicity(
                 f"multiplicity of {label} is {m:.8f}, not an integer")
         mult[label] = m_int
-    if sum(mult[l] * group.dims[l] for l in mult) != mats.shape[1]:
+    if sum(mult[l] * group.dims[l] for l in mult) != rep.shape[1]:
         raise NonInvariantSubspace(
             "multiplicities do not exhaust the space; the subspace is "
             "probably not invariant")
@@ -278,33 +266,25 @@ def decompose_eigenspace(group: GroupSpec, mats: np.ndarray,
 # standard actions
 # ---------------------------------------------------------------------------
 
-def _permutation_matrices(perm: np.ndarray) -> np.ndarray:
-    """0/1 matrices D(g)[perm[g, i], i] = 1 of the index arrays ``perm``."""
-    order, dim = perm.shape
-    mats = np.zeros((order, dim, dim))
-    mats[np.arange(order)[:, None], perm, np.arange(dim)] = 1.0
-    return mats
-
-
 def sector_permutation_rep(group: GroupSpec | None = None) -> np.ndarray:
-    """S3 acting on the six ordering sectors by relabelling.
+    """S3 acting on the six ordering sectors by relabelling, as index
+    arrays (see ``decompose_eigenspace``).
 
     Sector (i, j, k) is the region x_i > x_j > x_k; a permutation p
-    sends it to (p(i), p(j), p(k)).  The action is simply transitive,
-    i.e. this is the regular representation.
+    sends it to (p(i), p(j), p(k)).  The action is simply transitive:
+    this is the regular representation, whose index arrays are the
+    rows of the multiplication table.
     """
-    group = group or build_group("S3")
-    return _permutation_matrices(np.array(
-        [[PERMUTATIONS.index(perm_compose(p, s)) for s in PERMUTATIONS]
-         for p in group.elements]))
+    return (group or build_group("S3")).table.copy()  # the group is cached
 
 
 def orbit_rep_for_multisets(multisets, group: GroupSpec | None = None):
     """S3 permutation action on the ordered triples refining ``multisets``.
 
-    Returns (mats, triples): the distinct ordered triples spanning the
-    degeneracy space of a composed level, and the representation
-    matrices U(p)|n1 n2 n3> = |n_{p^-1(1)} n_{p^-1(2)} n_{p^-1(3)}>.
+    Returns (perm, triples): the integer (order, d) index arrays of the
+    representation U(p)|n1 n2 n3> = |n_{p^-1(1)} n_{p^-1(2)} n_{p^-1(3)}>,
+    that is U(p) e_i = e_{perm[p, i]}, and the d distinct ordered
+    triples spanning the degeneracy space of a composed level.
     """
     group = group or build_group("S3")
     triples = tuple(sorted({t for ms in multisets for t in permutations(ms)}))
@@ -320,8 +300,7 @@ def orbit_rep_for_multisets(multisets, group: GroupSpec | None = None):
     # U(p) moves label b of a triple to slot p(b)
     inverses = np.array([[p.index(b) for b in (1, 2, 3)]
                          for p in group.elements])
-    perm = np.searchsorted(keys(labels), keys(labels[:, inverses]).T)
-    return _permutation_matrices(perm), triples
+    return np.searchsorted(keys(labels), keys(labels[:, inverses]).T), triples
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,44 @@ def test_window_limit_admits_120_quanta(omega):
         cli._check_window(spec, (cli.MAX_WINDOW_QUANTA + 1) * omega)
 
 
+@pytest.mark.parametrize("command", ("spectrum", "irreps"))
+@pytest.mark.parametrize("model", ("harm-harm", "calogero", "unitary-contact"))
+def test_noninteracting_refuses_an_interacting_config(command, model, configs,
+                                                       tmp_path):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", str(configs[model]), "--model",
+                         "noninteracting", "--emax", EMAX, "--out",
+                         str(tmp_path)])
+    assert code == 2
+    assert "needs interaction.kind in ('none',)" in err.getvalue()
+    assert not list(tmp_path.iterdir())
+
+
+def test_irreps_at_120_quanta_fits_in_1_gib(configs, tmp_path, fresh_python):
+    # the address space is capped after the imports, so only the
+    # command's own arrays count against it
+    proc = fresh_python("-c", f"""if True:
+        import resource
+        from threebody1d import cli
+
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, hard))
+        raise SystemExit(cli.main([
+            "irreps", "--config", {str(configs["noninteracting"])!r},
+            "--model", "noninteracting", "--emax", "120",
+            "--out", {str(tmp_path)!r}]))
+        """)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads((tmp_path / "irreps.json").read_text())
+    dims = {"[3]": 1, "[21]": 2, "[1^3]": 1}
+    assert len(rows) == 119  # E = N + 3/2 for N = 0..118
+    for row in rows:
+        n = round(row["E"] - 1.5)
+        states = sum(m * dims[mu] for mu, m in row["multiplicities"].items())
+        assert states == (n + 1) * (n + 2) // 2  # ordered triples of total N
+
+
 def test_python_m_runs_the_cli(configs, fresh_python):
     argv = ("classify", "--config", str(configs["calogero"]))
     proc = fresh_python("-m", "threebody1d", *argv)

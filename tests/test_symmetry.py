@@ -43,6 +43,14 @@ CLASS_TABLE = {
 MULTISETS = st.lists(st.tuples(*[st.integers(-3, 8)] * 3), max_size=6)
 
 
+def as_matrices(perm):
+    """Dense 0/1 matrices D(g)[perm[g, i], i] = 1 of index arrays."""
+    order, dim = perm.shape
+    mats = np.zeros((order, dim, dim))
+    mats[np.arange(order)[:, None], perm, np.arange(dim)] = 1.0
+    return mats
+
+
 def loop_orbit_rep(multisets, group):
     """Reference for ``orbit_rep_for_multisets``: one lambda call per
     (element, triple)."""
@@ -56,12 +64,18 @@ def loop_orbit_rep(multisets, group):
     return mats, triples
 
 
-def outcome(group, mats):
+def outcome(group, rep):
     """The multiplicities, or the type and message of the error raised."""
     try:
-        return decompose_eigenspace(group, mats)
+        return decompose_eigenspace(group, rep)
     except (NonIntegerMultiplicity, NonInvariantSubspace) as exc:
         return type(exc), str(exc)
+
+
+def dense_check():
+    """Patch that records whether ``_is_homomorphism`` runs."""
+    return mock.patch.object(symmetry, "_is_homomorphism",
+                             wraps=symmetry._is_homomorphism)
 
 
 class TestGroups:
@@ -116,7 +130,7 @@ class TestRepresentations:
         assert np.allclose(mats[g.index((1, 2, 3))], np.eye(3))
 
     def test_sector_rep_is_regular(self):
-        mats = sector_permutation_rep()
+        mats = as_matrices(sector_permutation_rep())
         # regular representation: identity is the only element with trace 6
         traces = [np.trace(m) for m in mats]
         assert sorted(traces) == [0, 0, 0, 0, 0, 6]
@@ -137,8 +151,8 @@ class TestRepresentations:
 class TestProjectors:
     def setup_method(self):
         self.g = build_group("S3")
-        self.mats, self.triples = orbit_rep_for_multisets([(0, 1, 2)], self.g)
-        self.mats = self.mats.astype(complex)
+        perm, self.triples = orbit_rep_for_multisets([(0, 1, 2)], self.g)
+        self.mats = as_matrices(perm).astype(complex)
 
     def test_projector_identities(self):
         ps = {mu: projector(self.g, mu, self.mats) for mu in self.g.irreps}
@@ -175,20 +189,24 @@ class TestProjectors:
 class TestDecomposition:
     def test_regular_rep_content(self):
         g = build_group("S3")
-        mult = decompose_eigenspace(g, sector_permutation_rep().astype(complex))
+        perm = sector_permutation_rep()
+        mult = decompose_eigenspace(g, perm)
         assert mult == {"[3]": 1, "[21]": 2, "[1^3]": 1}
+        assert decompose_eigenspace(g, as_matrices(perm).astype(complex)) == mult
 
     def test_threefold_space(self):
         g = build_group("S3")
-        mats, _ = orbit_rep_for_multisets([(0, 0, 1)], g)
-        mult = decompose_eigenspace(g, mats.astype(complex))
+        perm, _ = orbit_rep_for_multisets([(0, 0, 1)], g)
+        mult = decompose_eigenspace(g, perm)
         assert mult == {"[3]": 1, "[21]": 1, "[1^3]": 0}
+        assert decompose_eigenspace(g, as_matrices(perm).astype(complex)) == mult
 
     def test_singlet_space(self):
         g = build_group("S3")
-        mats, _ = orbit_rep_for_multisets([(0, 0, 0)], g)
-        mult = decompose_eigenspace(g, mats.astype(complex))
+        perm, _ = orbit_rep_for_multisets([(0, 0, 0)], g)
+        mult = decompose_eigenspace(g, perm)
         assert mult == {"[3]": 1, "[21]": 0, "[1^3]": 0}
+        assert decompose_eigenspace(g, as_matrices(perm).astype(complex)) == mult
 
     @settings(max_examples=60, deadline=None)
     @given(st.sets(st.tuples(*[st.integers(0, 8)] * 3).map(sorted).map(tuple),
@@ -197,54 +215,56 @@ class TestDecomposition:
         # the character of the permutation representation on the orbits
         # of distinct multisets is the sum of the class table over them
         g = build_group("S3")
-        mats, _ = orbit_rep_for_multisets(multisets, g)
+        perm, _ = orbit_rep_for_multisets(multisets, g)
         expected = dict.fromkeys(g.irreps, 0)
         for ms in multisets:
             for mu, m in CLASS_TABLE[multiset_class(ms)].items():
                 expected[mu] += m
-        assert decompose_eigenspace(g, mats) == expected
+        assert decompose_eigenspace(g, perm) == expected
 
     def test_non_integer_multiplicity_raises(self):
         g = build_group("S3")
-        mats = sector_permutation_rep().astype(complex)
+        mats = as_matrices(sector_permutation_rep()).astype(complex)
         mats[1] *= 0.9  # break the representation
-        assert symmetry._index_arrays(mats) is None  # the dense check
-        with pytest.raises(NonIntegerMultiplicity):
+        with pytest.raises(NonIntegerMultiplicity), dense_check() as dense:
             decompose_eigenspace(g, mats)
+        assert dense.called
 
     def test_non_integer_character_raises(self):
         # a near-representation within the table tolerance whose
         # characters are off by more than the multiplicity tolerance
         g = build_group("S3")
-        mats = sector_permutation_rep().astype(complex)
+        mats = as_matrices(sector_permutation_rep()).astype(complex)
         mats[0] *= 1 + 1e-10  # m_[3] = 1 + 1e-10
-        assert symmetry._index_arrays(mats) is None  # the dense check
-        with pytest.raises(NonIntegerMultiplicity, match="not an integer"):
+        with pytest.raises(NonIntegerMultiplicity, match="not an integer"), \
+                dense_check() as dense:
             decompose_eigenspace(g, mats, tol=1e-12)
+        assert dense.called
 
     def test_corrupted_permutation_index_raises(self):
         g = build_group("S3")
-        mats, triples = orbit_rep_for_multisets([(0, 1, 2)], g)
+        perm, triples = orbit_rep_for_multisets([(0, 1, 2)], g)
         p = g.index((2, 1, 3))
         col = triples.index((0, 1, 2))
-        row = mats[p, :, col].argmax()
-        mats[p, row, col], mats[p, (row + 1) % 6, col] = 0.0, 1.0
-        # still one 1 per column, so the exact check reads it
-        assert symmetry._index_arrays(mats) is not None
-        assert not symmetry._is_homomorphism(g, mats)
-        with pytest.raises(NonIntegerMultiplicity, match="multiplication table"):
-            decompose_eigenspace(g, mats)
+        perm[p, col] = (perm[p, col] + 1) % 6
+        assert not symmetry._is_homomorphism(g, as_matrices(perm))
+        # the exact check, on the index arrays themselves, raises
+        with pytest.raises(NonIntegerMultiplicity, match="multiplication table"), \
+                dense_check() as dense:
+            decompose_eigenspace(g, perm)
+        assert not dense.called
 
     @pytest.mark.parametrize("entry", (1.0, 0.5, -1.0, np.nan))
     def test_other_sets_take_the_dense_check(self, entry):
         # a second nonzero in one column of the regular representation
         g = build_group("S3")
-        mats = sector_permutation_rep(g)
+        mats = as_matrices(sector_permutation_rep(g))
         row = mats[3, :, 2].argmin()
         mats[3, row, 2] = entry
-        assert symmetry._index_arrays(mats) is None
-        with pytest.raises(NonIntegerMultiplicity, match="table"):
+        with pytest.raises(NonIntegerMultiplicity, match="table"), \
+                dense_check() as dense:
             decompose_eigenspace(g, mats)
+        assert dense.called
 
     @settings(max_examples=150, deadline=None)
     @given(MULTISETS.filter(bool), st.data())
@@ -252,19 +272,18 @@ class TestDecomposition:
         # a permutation representation with its points relabelled and up
         # to two indices overwritten: any one-per-column 0/1 set
         g = build_group("S3")
-        mats, _ = orbit_rep_for_multisets(multisets, g)
-        d = mats.shape[1]
+        perm, _ = orbit_rep_for_multisets(multisets, g)
+        d = perm.shape[1]
         sigma = np.array(data.draw(st.permutations(range(d))))
-        perm = sigma[mats.argmax(axis=1)[:, np.argsort(sigma)]]
+        perm = sigma[perm[:, np.argsort(sigma)]]
         for _ in range(data.draw(st.integers(0, 2))):
             perm[data.draw(st.integers(0, 5)),
                  data.draw(st.integers(0, d - 1))] = data.draw(
                      st.integers(0, d - 1))
-        mats = np.stack([np.eye(d)[:, row] for row in perm])
-        assert np.array_equal(symmetry._index_arrays(mats), perm)
-        fast = outcome(g, mats)
-        with mock.patch.object(symmetry, "_index_arrays", return_value=None):
-            dense = outcome(g, mats)
+        mats = as_matrices(perm)
+        assert np.array_equal(mats.argmax(axis=1), perm)
+        fast = outcome(g, perm)
+        dense = outcome(g, mats)
         assert fast == dense
         table_error = isinstance(fast, tuple) and "table" in fast[1]
         assert symmetry._is_homomorphism(g, mats) != table_error
@@ -272,8 +291,8 @@ class TestDecomposition:
     def test_dimension_bookkeeping(self, harmonic_sigma1):
         g = build_group("S3")
         for lv in compose_spectrum(harmonic_sigma1, 6.6):
-            mats, triples = orbit_rep_for_multisets(lv.multisets, g)
-            mult = decompose_eigenspace(g, mats.astype(complex))
+            perm, triples = orbit_rep_for_multisets(lv.multisets, g)
+            mult = decompose_eigenspace(g, perm)
             total = sum(m * g.dims[mu] for mu, m in mult.items())
             assert total == lv.degeneracy == len(triples)
 
@@ -283,7 +302,9 @@ class TestPermutationMatrices:
     @given(MULTISETS)
     def test_orbit_rep_equals_loop_reference(self, multisets):
         g = build_group("S3")
-        mats, triples = orbit_rep_for_multisets(multisets, g)
+        perm, triples = orbit_rep_for_multisets(multisets, g)
+        assert perm.dtype.kind == "i" and perm.shape == (6, len(triples))
+        mats = as_matrices(perm)
         ref_mats, ref_triples = loop_orbit_rep(multisets, g)
         assert triples == ref_triples
         assert mats.dtype == ref_mats.dtype and mats.shape == ref_mats.shape
@@ -291,14 +312,13 @@ class TestPermutationMatrices:
 
     def test_empty_space_has_no_content(self):
         g = build_group("S3")
-        mats, triples = orbit_rep_for_multisets([], g)
-        assert mats.shape == (6, 0, 0) and triples == ()
-        assert decompose_eigenspace(g, mats) == dict.fromkeys(g.irreps, 0)
+        perm, triples = orbit_rep_for_multisets([], g)
+        assert perm.shape == (6, 0) and triples == ()
+        assert decompose_eigenspace(g, perm) == dict.fromkeys(g.irreps, 0)
 
     def test_sector_rep_is_the_multiplication_table(self):
         g = build_group("S3")
-        mats = sector_permutation_rep(g)
-        assert np.array_equal(symmetry._index_arrays(mats), g.table)
+        assert np.array_equal(sector_permutation_rep(g), g.table)
 
 
 class TestTowers:
@@ -306,15 +326,15 @@ class TestTowers:
         g = build_group("S3")
         decomps = []
         for lv in compose_spectrum(harmonic_sigma1, 6.6):
-            mats, _ = orbit_rep_for_multisets(lv.multisets, g)
-            decomps.append((lv.energy, decompose_eigenspace(g, mats.astype(complex))))
+            perm, _ = orbit_rep_for_multisets(lv.multisets, g)
+            decomps.append((lv.energy, decompose_eigenspace(g, perm)))
         towers = irrep_towers(decomps)
         assert bosonic_spectrum(towers)[0] == pytest.approx(1.5)
         assert fermionic_spectrum(towers)[0] == pytest.approx(4.5)
 
     def test_unitary_contact_towers(self, harmonic_sigma1):
         g = build_group("S3")
-        mats = sector_permutation_rep().astype(complex)
+        mats = as_matrices(sector_permutation_rep()).astype(complex)
         decomps = [(lv.energy, decompose_eigenspace(g, mats))
                    for lv in unitary_contact_spectrum(harmonic_sigma1, 7.6)]
         towers = irrep_towers(decomps)
@@ -336,7 +356,7 @@ class TestTowers:
 
     def test_json_export(self):
         g = build_group("S3")
-        mult = decompose_eigenspace(g, sector_permutation_rep().astype(complex))
+        mult = decompose_eigenspace(g, sector_permutation_rep())
         text = decompositions_to_json([(4.5, mult)])
         assert '"E": 4.5' in text
         assert '"[21]": 2' in text
