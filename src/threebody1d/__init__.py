@@ -16,7 +16,6 @@ from .models import (
     NoInteraction,
     NoTrap,
     QuadraticTrap,
-    SeparabilityVerdict,
     TabulatedTrap,
     UnitsConvention,
     classify_separability,
@@ -28,22 +27,17 @@ from .models import (
 from .grids import Grid1D, PolarGrid
 from .onebody import OneBodySpectrum, analytic_spectrum, grid_spectrum_1d
 from .jacobi import from_jacobi, parity_action, permutation_action, to_jacobi
-from .composition import SpectrumLevel, compose_spectrum, detect_accidental
+from .composition import compose_spectrum, detect_accidental
 from .solvable import (
-    SectorState,
-    SilverLevel,
     calogero_moser_spectrum,
     girardeau_wavefunction,
     harm_harm_spectrum,
     unitary_contact_spectrum,
 )
 from .symmetry import (
-    GroupSpec,
     build_group,
     decompose_eigenspace,
     irrep_towers,
-    project,
-    representation_on_space,
 )
 
 # seconds this file took to import the package; manifest.json records it

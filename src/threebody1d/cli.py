@@ -56,6 +56,13 @@ CHECKS = ("oracle", "ladder", "invariants", "schmidt", "gold")
 MAX_WINDOW_QUANTA = 250
 
 
+def _write_json(path: Path, obj):
+    """The one JSON file writer; numpy scalars go in as Python values."""
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True,
+                               default=np.generic.item) + "\n",
+                    encoding="utf-8")
+
+
 def _require_omega(spec):
     if not spec.harmonic_like:
         raise ConfigError("this model needs a harmonic trap (key 'trap.omega')")
@@ -156,13 +163,10 @@ def cmd_irreps(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "irreps.json").write_text(decompositions_to_json(decomps) + "\n",
                                      encoding="utf-8")
-    towers_json = {
+    _write_json(out / "towers.json", {
         label: [[float(e), int(m)] for e, m in rows]
         for label, rows in towers.items()
-    }
-    (out / "towers.json").write_text(
-        json.dumps(towers_json, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    })
     return 0
 
 
@@ -203,10 +207,13 @@ def _run_checks(spec, which: str):
             rng.uniform(0.0, 50.0, 50), hbar=spec.hbar))
     elif which == "gold":
         _require_omega(spec)
-        reports.append(dynamics.gold_locality_check(spec, n=8))
+        reports.append(dynamics.gold_locality_check(spec))
     elif which == "oracle":
         omega = _require_omega(spec)
         inter = spec.interaction
+        if inter.kind == "contact":
+            raise ConfigError("verify --check oracle has no oracle for a "
+                              "contact interaction")
         if isinstance(inter, InverseSquareInteraction):
             fit = fit_cm_exponent(omega, inter.gamma, mass=spec.mass,
                                   hbar=spec.hbar)
@@ -232,9 +239,7 @@ def cmd_verify(args) -> int:
     reports = _run_checks(spec, args.check)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payload = [json.loads(r.to_json()) for r in reports]
-    (out / "report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out / "report.json", [r.as_dict() for r in reports])
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         print(f"{r.check}: max_residual={r.max_residual:.3e} "
@@ -256,8 +261,7 @@ def _write_manifest(args, t0: float):
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
     Path(out).mkdir(parents=True, exist_ok=True)
-    (Path(out) / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(Path(out) / "manifest.json", manifest)
 
 
 def _finite_float(text: str) -> float:

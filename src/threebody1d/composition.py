@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TruncationRisk
-from .onebody import OneBodySpectrum, _csv_text
+from .onebody import OneBodySpectrum
 
 CLASS_SIZE = {"nondegenerate": 1, "threefold": 3, "sixfold": 6}
 
@@ -185,9 +187,13 @@ def detect_accidental(levels):
     return report
 
 
-def total_state_count(levels) -> int:
-    """Sum of degeneracies = number of ordered triples in the window."""
-    return sum(lv.degeneracy for lv in levels)
+def _csv_text(header, rows) -> str:
+    """The package's one CSV table writer: a header row, then ``rows``."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def levels_to_csv(levels) -> str:

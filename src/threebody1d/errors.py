@@ -73,14 +73,6 @@ class ResourceBudgetExceeded(ThreeBodyError):
     pass
 
 
-class NotClosed(ThreeBodyError):
-    pass
-
-
-class NotUnitary(ThreeBodyError):
-    pass
-
-
 class NonInvariantSubspace(ThreeBodyError):
     pass
 

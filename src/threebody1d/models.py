@@ -87,7 +87,11 @@ class QuadraticTrap:
 
 @dataclass(frozen=True)
 class TabulatedTrap:
-    """Trap sampled on an increasing abscissa grid; interpolated linearly."""
+    """Trap sampled on an increasing abscissa grid; interpolated linearly.
+
+    The only trap whose asymmetry leaves the paper's bare P3 ~ C3v (a
+    shifted QuadraticTrap stays harmonic-like and keeps D6h).
+    """
 
     kind = "custom_tabulated"
     xs: tuple

@@ -17,8 +17,6 @@ not with this module: the closed forms need numpy alone.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -231,20 +229,3 @@ def grid_orbitals_1d(trap, grid: Grid1D, n_max: int, *, mass: float = 1.0,
             orbs[k] = -orbs[k]
     return vals, orbs, x
 
-
-def _csv_text(header, rows) -> str:
-    """The package's one CSV table writer: a header row, then ``rows``."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
-
-
-def spectrum_to_csv(spectrum: OneBodySpectrum) -> str:
-    """Columns: n, energy, source, est_error."""
-    err = spectrum.est_error
-    return _csv_text(["n", "energy", "source", "est_error"], (
-        [n, repr(float(e)), spectrum.source,
-         repr(float(err[n])) if err is not None else ""]
-        for n, e in enumerate(spectrum.energies)))

@@ -38,7 +38,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
-    GridMismatch,
     ResourceBudgetExceeded,
     SingularPotentialUnresolved,
     UnsupportedTrap,
@@ -51,36 +50,6 @@ from .onebody import (_band_eigenvectors, _check_box_edges, _solve_banded,
 # Prefactor of the Calogero-Moser angular barrier: the three pair terms
 # gamma/(x_i - x_j)^2 sum to (9/2) gamma / (rho^2 cos^2(3 phi)).
 CM_ANGULAR_PREFACTOR = 4.5
-
-
-@dataclass(frozen=True)
-class WaveFunctionGrid:
-    """Wavefunction samples on a rectangular grid, unit norm.
-
-    ``axes`` holds one Grid1D per dimension; ``values`` has matching
-    shape.  The norm convention is sum |psi|^2 * cell volume = 1.
-    """
-
-    axes: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        shape = tuple(a.n for a in self.axes)
-        if self.values.shape != shape:
-            raise GridMismatch(f"values shape {self.values.shape} != grid {shape}")
-
-    @property
-    def cell_volume(self) -> float:
-        out = 1.0
-        for a in self.axes:
-            out *= a.dx
-        return out
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.cell_volume))
-
-    def normalized(self) -> "WaveFunctionGrid":
-        return WaveFunctionGrid(self.axes, self.values / self.norm())
 
 
 @dataclass(frozen=True)

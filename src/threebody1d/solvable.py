@@ -28,7 +28,6 @@ Every spectrum here is cut by the package's one energy window,
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -36,6 +35,7 @@ import numpy as np
 
 from .composition import (
     GROUP_TOLERANCE,
+    _csv_text,
     _triples,
     default_group_tolerance,
     energy_cutoff,
@@ -46,7 +46,7 @@ from .errors import GridResolutionTooCoarse
 from .grids import Grid1D
 # ordering sector (i, j, k) is the region x_i > x_j > x_k
 from .jacobi import PERMUTATIONS as SECTOR_ORDER, perm_sign
-from .onebody import OneBodySpectrum, _csv_text
+from .onebody import OneBodySpectrum
 
 
 @dataclass(frozen=True)
@@ -149,35 +149,10 @@ def calogero_moser_spectrum(omega: float, gamma: float, e_max: float, *,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SectorState:
-    """Amplitudes over the six ordering sectors on a fermionic base.
-
-    ``base`` is the strictly increasing one-body triple (n1, n2, n3);
-    ``amplitudes`` multiply the unsigned sector copies in SECTOR_ORDER,
-    so a uniform pattern is the bosonic Tonks-Girardeau state and the
-    sign-alternating pattern reproduces the free-fermion state.
-    """
-
-    base: tuple
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a, b, c = self.base
-        assert a < b < c, "base quantum numbers must strictly increase"
-        nrm = np.linalg.norm(self.amplitudes)
-        assert abs(nrm - 1.0) < 1e-10, "amplitudes must be normalized"
-
-
-@dataclass(frozen=True)
 class ContactLevel:
     energy: float
     base: tuple  # (n1 < n2 < n3)
     degeneracy: int  # always 6: one copy per ordering sector
-
-    def sector_basis(self):
-        """The six basis SectorStates spanning the degeneracy space."""
-        eye = np.eye(6)
-        return tuple(SectorState(self.base, eye[i]) for i in range(6))
 
 
 def fermionic_amplitudes() -> np.ndarray:
@@ -208,25 +183,23 @@ def girardeau_wavefunction(base, amplitudes, orbitals: np.ndarray,
                            axis: Grid1D):
     """Sector-patterned eigenfunction of the unitary contact model.
 
-    ``orbitals`` holds the one-body eigenfunctions on the axis grid
-    (rows indexed by quantum number, unit-normalized with the dx
-    weight).  In each ordering sector the result equals
-    amplitude * sqrt(6) * |Slater determinant| with the determinant's
-    sector sign stripped, so it vanishes on the coincidence manifold by
-    construction.  Raises GridResolutionTooCoarse when the nodal
-    structure is unresolved.
+    ``amplitudes`` weight the ordering sectors in SECTOR_ORDER on the
+    base triple n1 < n2 < n3; ``orbitals`` holds the one-body
+    eigenfunctions on the axis grid (rows indexed by quantum number,
+    unit-normalized with the dx weight).  In each ordering sector psi
+    equals amplitude * sqrt(6) * |Slater determinant| with the
+    determinant's sector sign stripped, so it vanishes on the
+    coincidence manifold by construction.  Returns psi on the
+    ``axis``^3 cube, an (n, n, n) array with sum(psi**2) * dx**3 = 1.
+    Raises GridResolutionTooCoarse when the nodal structure is
+    unresolved.
     """
-    from .oracle import WaveFunctionGrid  # deferred: oracle imports grids only
-
     n1, n2, n3 = base
     if not (n1 < n2 < n3):
         raise ValueError("base must be strictly increasing")
     amplitudes = np.asarray(amplitudes, dtype=float)
     if amplitudes.shape != (6,):
         raise ValueError("amplitudes must have shape (6,)")
-    nrm = np.linalg.norm(amplitudes)
-    if abs(nrm - 1.0) > 1e-10:
-        amplitudes = amplitudes / nrm
 
     phi = [orbitals[n] for n in (n1, n2, n3)]
     x = axis.points()
@@ -257,8 +230,7 @@ def girardeau_wavefunction(base, amplitudes, orbitals: np.ndarray,
     if peak == 0 or np.max(np.abs(psi[plane])) > 1e-6 * peak:
         raise GridResolutionTooCoarse(
             "wavefunction does not vanish on the coincidence manifold")
-    wf = WaveFunctionGrid((axis, axis, axis), psi)
-    return wf.normalized()
+    return psi / math.sqrt(np.sum(psi**2) * axis.dx**3)
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +337,3 @@ def contact_levels_to_csv(levels) -> str:
         ["unitary_contact", *lv.base, repr(lv.energy), lv.degeneracy]
         for lv in levels))
 
-
-def sector_state_to_json(state: SectorState) -> str:
-    return json.dumps({
-        "base": list(state.base),
-        "sector_order": [list(s) for s in SECTOR_ORDER],
-        "amplitudes": [float(a) for a in state.amplitudes],
-    })

@@ -16,7 +16,7 @@ from itertools import permutations
 import numpy as np
 
 from .composition import GROUP_TOLERANCE, group_by_energy
-from .errors import NonIntegerMultiplicity, NonInvariantSubspace, NotClosed, NotUnitary
+from .errors import NonIntegerMultiplicity, NonInvariantSubspace
 from .jacobi import (
     PERMUTATIONS,
     THREE_CYCLES,
@@ -155,107 +155,36 @@ def build_group(name: str) -> GroupSpec:
 # representations
 # ---------------------------------------------------------------------------
 
-def representation_on_space(group: GroupSpec, action, basis: np.ndarray,
-                            tol: float = 1e-10) -> np.ndarray:
-    """Matrices of a linear group action restricted to a subspace.
+def decompose_eigenspace(group: GroupSpec, perm: np.ndarray) -> dict:
+    """Irrep multiplicities {label: m} of a permutation representation.
 
-    ``action(element, vector) -> vector`` must map the span of the
-    orthonormal ``basis`` columns into itself; the matrix for element i
-    lands in result[i].  Raises NotClosed when the action leaves the
-    span, NotUnitary when the restriction is not unitary, and checks
-    the homomorphism property against the multiplication table.
-    """
-    basis = np.asarray(basis)
-    dim = basis.shape[1]
-    mats = np.empty((group.order, dim, dim), dtype=complex)
-    for i, g in enumerate(group.elements):
-        img = np.column_stack([action(g, basis[:, k]) for k in range(dim)])
-        d = basis.conj().T @ img
-        if np.linalg.norm(img - basis @ d) > tol * max(1.0, np.linalg.norm(img)):
-            raise NotClosed(f"action of {g!r} leaves the given span")
-        if np.linalg.norm(d.conj().T @ d - np.eye(dim)) > tol:
-            raise NotUnitary(f"restriction of {g!r} is not unitary")
-        mats[i] = d
-    if not _is_homomorphism(group, mats):
-        raise NotClosed("matrices do not satisfy the multiplication table")
-    return mats
-
-
-def _is_homomorphism(group: GroupSpec, mats: np.ndarray,
-                     tol: float = 1e-8) -> bool:
-    """Whether D(g) D(h) = D(gh) holds for all pairs, per ``group.table``."""
-    for i in range(group.order):
-        resid = np.linalg.norm(mats[i] @ mats - mats[group.table[i]],
-                               axis=(-2, -1))
-        if not np.all(resid <= tol):
-            return False
-    return True
-
-
-def projector(group: GroupSpec, irrep: str, mats: np.ndarray) -> np.ndarray:
-    """P_mu = (d_mu / |G|) sum_g chi_mu(g)* D(g)."""
-    chi = group.irreps[irrep]
-    d = group.dims[irrep]
-    return (d / group.order) * np.tensordot(chi, mats, axes=(0, 0))
-
-
-def project(group: GroupSpec, irrep: str, mats: np.ndarray,
-            tol: float = 1e-10):
-    """Projected orthonormal basis (columns) of the isotypic component.
-
-    The projector is checked for idempotence; vectors below ``tol`` in
-    singular value are discarded.
-    """
-    p = projector(group, irrep, mats)
-    if np.linalg.norm(p @ p - p) > tol * max(1.0, np.linalg.norm(p)):
-        raise NonInvariantSubspace(f"projector for {irrep} is not idempotent")
-    u, s, _ = np.linalg.svd(p)
-    rank = int(np.sum(s > 0.5))  # eigenvalues of an idempotent are 0 or 1
-    return u[:, :rank]
-
-
-def decompose_eigenspace(group: GroupSpec, rep: np.ndarray,
-                         tol: float = 1e-6) -> dict:
-    """Irrep multiplicities {label: m} of an invariant (eigen)space.
-
-    ``rep`` is the representation in one of two forms:
-
-    - an integer (order, d) array of index arrays, the permutation
-      representation D(g) e_i = e_{perm[g, i]} (as from
-      ``orbit_rep_for_multisets`` and ``sector_permutation_rep``).  The
-      multiplication table is checked exactly, perm[g][perm[h]] ==
-      perm[gh], and each trace is a count of fixed points;
-    - an (order, d, d) array of matrices (as from
-      ``representation_on_space``).  The table is checked by the dense
-      residual of D(g) D(h) - D(gh) (``_is_homomorphism``, tolerance
-      1e-8), and the traces are the diagonal sums.
+    ``perm`` is an integer (order, d) array of index arrays,
+    D(g) e_i = e_{perm[g, i]}, as ``orbit_rep_for_multisets`` and
+    ``sector_permutation_rep`` return it.  The multiplication table is
+    checked exactly, perm[g][perm[h]] == perm[gh], and each trace is a
+    count of fixed points.
 
     m_mu = (1/|G|) sum_g chi_mu(g)* tr D(g), rounded to the nearest
-    integer; a deviation above ``tol`` is a hard error because it
-    signals a missed symmetry or a broken representation.  A set that
-    breaks the table is not a representation and has no
-    multiplicities, so it raises NonIntegerMultiplicity (CLI exit 3)
-    even when its characters happen to be integers.
+    integer; a deviation above 1e-6 is a hard error because it signals
+    a missed symmetry or a broken representation.  A set that breaks
+    the table is not a representation and has no multiplicities, so it
+    raises NonIntegerMultiplicity (CLI exit 3) even when its characters
+    happen to be integers.
     """
-    if rep.ndim == 2:
-        is_rep = np.array_equal(rep[:, rep], rep[group.table])
-        traces = np.count_nonzero(rep == np.arange(rep.shape[1]), axis=1)
-    else:
-        is_rep = _is_homomorphism(group, rep)
-        traces = np.einsum("gii->g", rep)
-    if not is_rep:
+    if not np.array_equal(perm[:, perm], perm[group.table]):
         raise NonIntegerMultiplicity(
             "matrices do not satisfy the multiplication table, so they "
             "are not a representation and have no multiplicities")
+    traces = np.count_nonzero(perm == np.arange(perm.shape[1]), axis=1)
     mult = {}
     for label, chi in group.irreps.items():
-        m = float(np.real(np.dot(chi, traces))) / group.order
+        m = float(np.dot(chi, traces)) / group.order
         m_int = round(m)
-        if abs(m - m_int) > tol:
+        if abs(m - m_int) > 1e-6:
             raise NonIntegerMultiplicity(
                 f"multiplicity of {label} is {m:.8f}, not an integer")
         mult[label] = m_int
-    if sum(mult[l] * group.dims[l] for l in mult) != rep.shape[1]:
+    if sum(mult[l] * group.dims[l] for l in mult) != perm.shape[1]:
         raise NonInvariantSubspace(
             "multiplicities do not exhaust the space; the subspace is "
             "probably not invariant")
@@ -325,14 +254,6 @@ def irrep_towers(decompositions):
             if m > 0:
                 towers.setdefault(label, []).append((energy, m))
     return towers
-
-
-def bosonic_spectrum(towers):
-    return [e for e, _ in towers.get("[3]", [])]
-
-
-def fermionic_spectrum(towers):
-    return [e for e, _ in towers.get("[1^3]", [])]
 
 
 def decompositions_to_json(decompositions) -> str:

@@ -134,6 +134,22 @@ def test_verify_oracle_calogero_exit_code_follows_pass(configs, tmp_path):
     assert code == (0 if report["pass"] else 3)
 
 
+@pytest.mark.parametrize("gamma", ("unitary", "2.0"))
+def test_verify_oracle_on_contact_exits_2(gamma, tmp_path):
+    # no oracle fits a contact spectrum; before, the noninteracting fit
+    # ran in its place and passed
+    path = tmp_path / "contact.cfg"
+    path.write_text(TRAP + "interaction.kind = contact\n"
+                           f"interaction.gamma = {gamma}\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--config", str(path), "--check", "oracle",
+                         "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "no oracle for a contact interaction" in err.getvalue()
+    assert not (tmp_path / "out").exists()
+
+
 def test_gold_check_on_silver_model_exits_1(configs, tmp_path):
     code, _ = run("verify", "--config", configs["calogero"], "--check", "gold",
                   "--out", tmp_path)

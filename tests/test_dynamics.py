@@ -1,13 +1,24 @@
 import pytest
 
+import numpy as np
+
 from threebody1d.dynamics import (
+    TPSBipartition,
+    TruncatedState,
+    evolve,
     gold_locality_check,
     interacting_hamiltonian,
     ladder_check,
     local_projection,
+    schmidt,
     superintegrability_check,
 )
-from threebody1d.errors import NotGold, UnsupportedTrap
+from threebody1d.errors import (
+    DimensionMismatch,
+    MissingEnergyLabel,
+    NotGold,
+    UnsupportedTrap,
+)
 from threebody1d.models import (
     HarmonicInteraction,
     HarmonicTrap,
@@ -25,7 +36,21 @@ def test_silent_negative_control_fails_superintegrability():
     assert report.max_residual <= report.tolerance
     assert not report.details["negative_control_ok"]
     assert not report.passed
-    assert '"pass": false' in report.to_json()
+    assert report.as_dict()["pass"] is False
+
+
+def test_evolve_without_energies_raises():
+    state = TruncatedState(np.ones((2, 3)))
+    with pytest.raises(MissingEnergyLabel):
+        evolve(state, 1.0)
+
+
+@pytest.mark.parametrize("left, right", [((0,), ()), ((0,), (0, 1)),
+                                         ((0,), (2,)), ((0, 1), (1, 2))])
+def test_schmidt_cut_must_partition_the_axes(left, right):
+    state = TruncatedState(np.ones((2, 3, 4)))
+    with pytest.raises(DimensionMismatch, match="does not partition 3 axes"):
+        schmidt(state, TPSBipartition(left, right))
 
 
 class TestLadder:

@@ -13,7 +13,6 @@ from threebody1d.onebody import (
     grid_orbitals_1d,
     grid_spectrum_1d,
     kinetic_fd_1d,
-    spectrum_to_csv,
 )
 
 
@@ -147,15 +146,6 @@ class TestGrid:
 def hamiltonian(trap, x):
     """The grid Hamiltonian, rebuilt from the stencil and the potential."""
     return kinetic_fd_1d(len(x), x[1] - x[0]) + diags(trap.potential(x))
-
-
-def test_csv_export():
-    sp = analytic_spectrum(HarmonicTrap(1.0), 2)
-    text = spectrum_to_csv(sp)
-    lines = text.strip().split("\n")
-    assert lines[0] == "n,energy,source,est_error"
-    assert lines[1].startswith("0,0.5,analytic")
-    assert len(lines) == 4
 
 
 def test_banded_solver_resolves_before_any_solve(fresh_python):

@@ -7,8 +7,10 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threebody1d import oracle
 from threebody1d.errors import (
     BoxTooSmall,
+    ResourceBudgetExceeded,
     SingularPotentialUnresolved,
     UnsupportedTrap,
 )
@@ -143,6 +145,18 @@ class TestFullSpectrum3D:
         spec = ModelSpec(HarmonicTrap(1.0), ContactInteraction(gamma=2.0))
         with pytest.raises(ValueError, match="unitary limit"):
             full_spectrum_3d(spec, Grid1D(-6.0, 6.0, 12))
+
+    @pytest.mark.parametrize("n, k, match", [(129, 4, "n per axis 129"),
+                                             (128, 21, "k = 21")],
+                             ids=("n_129", "k_21"))
+    def test_budget_raises_before_assembly(self, spec_harm_harm, monkeypatch,
+                                           n, k, match):
+        def assemble(spec, grid):
+            raise AssertionError("assembled a 3D operator over budget")
+
+        monkeypatch.setattr(oracle, "_hamiltonian_3d", assemble)
+        with pytest.raises(ResourceBudgetExceeded, match=match):
+            full_spectrum_3d(spec_harm_harm, Grid1D(-6.0, 6.0, n), k=k)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_blocks_hold_the_whole_spectrum(self, model, request,

@@ -16,8 +16,6 @@ from threebody1d.grids import Grid1D, PolarGrid
 from threebody1d.models import HarmonicTrap
 from threebody1d.onebody import analytic_spectrum, grid_orbitals_1d
 from threebody1d.solvable import (
-    SECTOR_ORDER,
-    SectorState,
     SilverLevel,
     bosonic_amplitudes,
     calogero_moser_spectrum,
@@ -29,7 +27,6 @@ from threebody1d.solvable import (
     girardeau_wavefunction,
     harm_harm_spectrum,
     relative_frequency,
-    sector_state_to_json,
     silver_levels_to_csv,
     unitary_contact_spectrum,
 )
@@ -166,17 +163,6 @@ class TestUnitaryContact:
             unitary_contact_spectrum(
                 analytic_spectrum(HarmonicTrap(1.0), 4), 9.0)
 
-    def test_sector_basis(self, harmonic_sigma1):
-        lv = unitary_contact_spectrum(harmonic_sigma1, 5.0)[0]
-        basis = lv.sector_basis()
-        assert len(basis) == 6
-        amps = np.array([s.amplitudes for s in basis])
-        assert np.allclose(amps, np.eye(6))
-
-    def test_sector_state_validation(self):
-        with pytest.raises(AssertionError):
-            SectorState((0, 2, 1), np.ones(6) / math.sqrt(6))
-
 
 @pytest.fixture(scope="module")
 def harmonic_orbitals():
@@ -208,16 +194,16 @@ class TestGirardeau:
                               if p[i] > p[j])
             det += sgn * (orbs[p[0]][:, None, None] * orbs[p[1]][None, :, None]
                           * orbs[p[2]][None, None, :])
-        det /= np.linalg.norm(det) * math.sqrt(wf.cell_volume)
-        diff = min(np.max(np.abs(wf.values - det)), np.max(np.abs(wf.values + det)))
+        det /= np.linalg.norm(det) * math.sqrt(axis.dx**3)
+        diff = min(np.max(np.abs(wf - det)), np.max(np.abs(wf + det)))
         assert diff < 1e-12
 
     def test_bosonic_pattern_is_absolute_value(self, harmonic_orbitals):
         axis, _, orbs = harmonic_orbitals
         wf_f = girardeau_wavefunction((0, 1, 2), fermionic_amplitudes(), orbs, axis)
         wf_b = girardeau_wavefunction((0, 1, 2), bosonic_amplitudes(), orbs, axis)
-        assert np.allclose(np.abs(wf_b.values), np.abs(wf_f.values), atol=1e-12)
-        assert np.min(wf_b.values) >= -1e-12  # |det| is non-negative for 012
+        assert np.allclose(np.abs(wf_b), np.abs(wf_f), atol=1e-12)
+        assert np.min(wf_b) >= -1e-12  # |det| is non-negative for 012
 
     def test_vanishes_on_coincidence_manifold(self, harmonic_orbitals):
         axis, _, orbs = harmonic_orbitals
@@ -225,7 +211,7 @@ class TestGirardeau:
         x = axis.points()
         x1, x2, x3 = np.meshgrid(x, x, x, indexing="ij")
         plane = (x1 == x2) | (x2 == x3) | (x1 == x3)
-        assert np.max(np.abs(wf.values[plane])) == 0.0
+        assert np.max(np.abs(wf[plane])) == 0.0
 
     def test_eigen_residual_under_masked_hamiltonian(self, harmonic_orbitals,
                                                      cube_hamiltonian,
@@ -235,9 +221,8 @@ class TestGirardeau:
         e = float(evals[0] + evals[1] + evals[2])
         for amps in (fermionic_amplitudes(), bosonic_amplitudes()):
             wf = girardeau_wavefunction((0, 1, 2), amps, orbs, axis)
-            hw = apply_hamiltonian(h, keep, wf.values)
-            resid = (np.linalg.norm(hw - e * wf.values)
-                     * math.sqrt(wf.cell_volume))
+            hw = apply_hamiltonian(h, keep, wf)
+            resid = np.linalg.norm(hw - e * wf) * math.sqrt(axis.dx**3)
             assert resid < 2e-2 * e
 
     def test_coarse_grid_raises(self):
@@ -253,9 +238,6 @@ def test_csv_and_json_exports(harmonic_sigma1):
     levels = unitary_contact_spectrum(harmonic_sigma1, 6.0)
     ctext = contact_levels_to_csv(levels)
     assert "unitary_contact,0,1,2,4.5,6" in ctext
-    j = sector_state_to_json(levels[0].sector_basis()[0])
-    assert '"base": [0, 1, 2]' in j
-    assert str(list(SECTOR_ORDER[0])) in j
 
 
 def test_csv_degeneracy_counts_runs_not_rounding_buckets():

@@ -1,6 +1,5 @@
-import math
+import dataclasses
 from itertools import permutations
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threebody1d import jacobi as J
-from threebody1d import symmetry
-from threebody1d.errors import (
-    NonIntegerMultiplicity,
-    NonInvariantSubspace,
-    NotClosed,
-    NotUnitary,
-)
+from threebody1d.errors import NonIntegerMultiplicity, NonInvariantSubspace
 from threebody1d.models import HarmonicTrap
 from threebody1d.onebody import analytic_spectrum
 from threebody1d.composition import compose_spectrum, multiset_class
@@ -23,13 +16,8 @@ from threebody1d.symmetry import (
     build_group,
     decompose_eigenspace,
     decompositions_to_json,
-    bosonic_spectrum,
-    fermionic_spectrum,
     irrep_towers,
     orbit_rep_for_multisets,
-    project,
-    projector,
-    representation_on_space,
     sector_permutation_rep,
 )
 
@@ -64,18 +52,46 @@ def loop_orbit_rep(multisets, group):
     return mats, triples
 
 
-def outcome(group, rep):
+def is_homomorphism(group, mats):
+    """Dense reference: whether D(g) D(h) = D(gh) holds for all pairs of
+    matrices, per ``group.table``."""
+    for i in range(group.order):
+        resid = np.linalg.norm(mats[i] @ mats - mats[group.table[i]],
+                               axis=(-2, -1))
+        if not np.all(resid <= 1e-8):
+            return False
+    return True
+
+
+def dense_decompose(group, mats):
+    """Dense reference for ``decompose_eigenspace``: the same rules and
+    errors on (order, d, d) matrices, with the table checked by
+    ``is_homomorphism`` and the traces taken as diagonal sums."""
+    if not is_homomorphism(group, mats):
+        raise NonIntegerMultiplicity(
+            "matrices do not satisfy the multiplication table, so they "
+            "are not a representation and have no multiplicities")
+    traces = np.einsum("gii->g", mats)
+    mult = {}
+    for label, chi in group.irreps.items():
+        m = float(np.real(np.dot(chi, traces))) / group.order
+        if abs(m - round(m)) > 1e-6:
+            raise NonIntegerMultiplicity(
+                f"multiplicity of {label} is {m:.8f}, not an integer")
+        mult[label] = round(m)
+    if sum(mult[l] * group.dims[l] for l in mult) != mats.shape[1]:
+        raise NonInvariantSubspace(
+            "multiplicities do not exhaust the space; the subspace is "
+            "probably not invariant")
+    return mult
+
+
+def outcome(decompose, group, rep):
     """The multiplicities, or the type and message of the error raised."""
     try:
-        return decompose_eigenspace(group, rep)
+        return decompose(group, rep)
     except (NonIntegerMultiplicity, NonInvariantSubspace) as exc:
         return type(exc), str(exc)
-
-
-def dense_check():
-    """Patch that records whether ``_is_homomorphism`` runs."""
-    return mock.patch.object(symmetry, "_is_homomorphism",
-                             wraps=symmetry._is_homomorphism)
 
 
 class TestGroups:
@@ -121,69 +137,11 @@ class TestGroups:
 
 
 class TestRepresentations:
-    def test_p3_on_configuration_coords(self):
-        g = build_group("S3")
-        mats = representation_on_space(
-            g, lambda p, v: J.perm_matrix(p) @ v, np.eye(3))
-        for i, p in enumerate(g.elements):
-            assert np.allclose(mats[i], J.perm_matrix(p))
-        assert np.allclose(mats[g.index((1, 2, 3))], np.eye(3))
-
     def test_sector_rep_is_regular(self):
         mats = as_matrices(sector_permutation_rep())
         # regular representation: identity is the only element with trace 6
         traces = [np.trace(m) for m in mats]
         assert sorted(traces) == [0, 0, 0, 0, 0, 6]
-
-    def test_not_closed(self):
-        g = build_group("S3")
-        basis = np.eye(3)[:, :1]  # span{e1} is not permutation invariant
-        with pytest.raises(NotClosed):
-            representation_on_space(g, lambda p, v: J.perm_matrix(p) @ v, basis)
-
-    def test_not_unitary(self):
-        g = build_group("S3")
-        with pytest.raises((NotUnitary, NotClosed)):
-            representation_on_space(
-                g, lambda p, v: 2.0 * (J.perm_matrix(p) @ v), np.eye(3))
-
-
-class TestProjectors:
-    def setup_method(self):
-        self.g = build_group("S3")
-        perm, self.triples = orbit_rep_for_multisets([(0, 1, 2)], self.g)
-        self.mats = as_matrices(perm).astype(complex)
-
-    def test_projector_identities(self):
-        ps = {mu: projector(self.g, mu, self.mats) for mu in self.g.irreps}
-        total = sum(ps.values())
-        assert np.linalg.norm(total - np.eye(6)) < 1e-10
-        for mu, p in ps.items():
-            assert np.linalg.norm(p @ p - p) < 1e-10
-            for nu, q in ps.items():
-                if nu != mu:
-                    assert np.linalg.norm(p @ q) < 1e-10
-
-    def test_symmetrizer_rank_one(self):
-        basis = project(self.g, "[3]", self.mats)
-        assert basis.shape[1] == 1
-        # the symmetric combination is uniform over the orbit
-        v = np.abs(basis[:, 0])
-        assert np.allclose(v, 1 / math.sqrt(6), atol=1e-12)
-
-    def test_antisymmetrizer_slater_signs(self):
-        basis = project(self.g, "[1^3]", self.mats)
-        assert basis.shape[1] == 1
-        v = basis[:, 0].real
-        v /= v[self.triples.index((0, 1, 2))] * math.sqrt(6)
-        for i, t in enumerate(self.triples):
-            sign = J.perm_sign(tuple(np.argsort(t) + 1))
-            assert v[i] * math.sqrt(6) * sign == pytest.approx(
-                v[self.triples.index((0, 1, 2))] * math.sqrt(6), abs=1e-12)
-
-    def test_mixed_irrep_rank_four(self):
-        basis = project(self.g, "[21]", self.mats)
-        assert basis.shape[1] == 4  # 2 copies x dimension 2
 
 
 class TestDecomposition:
@@ -192,21 +150,21 @@ class TestDecomposition:
         perm = sector_permutation_rep()
         mult = decompose_eigenspace(g, perm)
         assert mult == {"[3]": 1, "[21]": 2, "[1^3]": 1}
-        assert decompose_eigenspace(g, as_matrices(perm).astype(complex)) == mult
+        assert dense_decompose(g, as_matrices(perm).astype(complex)) == mult
 
     def test_threefold_space(self):
         g = build_group("S3")
         perm, _ = orbit_rep_for_multisets([(0, 0, 1)], g)
         mult = decompose_eigenspace(g, perm)
         assert mult == {"[3]": 1, "[21]": 1, "[1^3]": 0}
-        assert decompose_eigenspace(g, as_matrices(perm).astype(complex)) == mult
+        assert dense_decompose(g, as_matrices(perm).astype(complex)) == mult
 
     def test_singlet_space(self):
         g = build_group("S3")
         perm, _ = orbit_rep_for_multisets([(0, 0, 0)], g)
         mult = decompose_eigenspace(g, perm)
         assert mult == {"[3]": 1, "[21]": 0, "[1^3]": 0}
-        assert decompose_eigenspace(g, as_matrices(perm).astype(complex)) == mult
+        assert dense_decompose(g, as_matrices(perm).astype(complex)) == mult
 
     @settings(max_examples=60, deadline=None)
     @given(st.sets(st.tuples(*[st.integers(0, 8)] * 3).map(sorted).map(tuple),
@@ -222,24 +180,15 @@ class TestDecomposition:
                 expected[mu] += m
         assert decompose_eigenspace(g, perm) == expected
 
-    def test_non_integer_multiplicity_raises(self):
-        g = build_group("S3")
-        mats = as_matrices(sector_permutation_rep()).astype(complex)
-        mats[1] *= 0.9  # break the representation
-        with pytest.raises(NonIntegerMultiplicity), dense_check() as dense:
-            decompose_eigenspace(g, mats)
-        assert dense.called
-
     def test_non_integer_character_raises(self):
-        # a near-representation within the table tolerance whose
-        # characters are off by more than the multiplicity tolerance
+        # a representation checked against characters that are not the
+        # group's: the table holds, but m_[3] = 3/6 is not an integer
         g = build_group("S3")
-        mats = as_matrices(sector_permutation_rep()).astype(complex)
-        mats[0] *= 1 + 1e-10  # m_[3] = 1 + 1e-10
-        with pytest.raises(NonIntegerMultiplicity, match="not an integer"), \
-                dense_check() as dense:
-            decompose_eigenspace(g, mats, tol=1e-12)
-        assert dense.called
+        perm, _ = orbit_rep_for_multisets([(0, 0, 1)], g)
+        identity_only = (np.arange(6) == g.index((1, 2, 3))).astype(int)
+        wrong = dataclasses.replace(g, irreps={**g.irreps, "[3]": identity_only})
+        with pytest.raises(NonIntegerMultiplicity, match="not an integer"):
+            decompose_eigenspace(wrong, perm)
 
     def test_corrupted_permutation_index_raises(self):
         g = build_group("S3")
@@ -247,24 +196,10 @@ class TestDecomposition:
         p = g.index((2, 1, 3))
         col = triples.index((0, 1, 2))
         perm[p, col] = (perm[p, col] + 1) % 6
-        assert not symmetry._is_homomorphism(g, as_matrices(perm))
+        assert not is_homomorphism(g, as_matrices(perm))
         # the exact check, on the index arrays themselves, raises
-        with pytest.raises(NonIntegerMultiplicity, match="multiplication table"), \
-                dense_check() as dense:
+        with pytest.raises(NonIntegerMultiplicity, match="multiplication table"):
             decompose_eigenspace(g, perm)
-        assert not dense.called
-
-    @pytest.mark.parametrize("entry", (1.0, 0.5, -1.0, np.nan))
-    def test_other_sets_take_the_dense_check(self, entry):
-        # a second nonzero in one column of the regular representation
-        g = build_group("S3")
-        mats = as_matrices(sector_permutation_rep(g))
-        row = mats[3, :, 2].argmin()
-        mats[3, row, 2] = entry
-        with pytest.raises(NonIntegerMultiplicity, match="table"), \
-                dense_check() as dense:
-            decompose_eigenspace(g, mats)
-        assert dense.called
 
     @settings(max_examples=150, deadline=None)
     @given(MULTISETS.filter(bool), st.data())
@@ -282,11 +217,11 @@ class TestDecomposition:
                      st.integers(0, d - 1))
         mats = as_matrices(perm)
         assert np.array_equal(mats.argmax(axis=1), perm)
-        fast = outcome(g, perm)
-        dense = outcome(g, mats)
+        fast = outcome(decompose_eigenspace, g, perm)
+        dense = outcome(dense_decompose, g, mats)
         assert fast == dense
         table_error = isinstance(fast, tuple) and "table" in fast[1]
-        assert symmetry._is_homomorphism(g, mats) != table_error
+        assert is_homomorphism(g, mats) != table_error
 
     def test_dimension_bookkeeping(self, harmonic_sigma1):
         g = build_group("S3")
@@ -329,18 +264,18 @@ class TestTowers:
             perm, _ = orbit_rep_for_multisets(lv.multisets, g)
             decomps.append((lv.energy, decompose_eigenspace(g, perm)))
         towers = irrep_towers(decomps)
-        assert bosonic_spectrum(towers)[0] == pytest.approx(1.5)
-        assert fermionic_spectrum(towers)[0] == pytest.approx(4.5)
+        assert towers["[3]"][0][0] == pytest.approx(1.5)
+        assert towers["[1^3]"][0][0] == pytest.approx(4.5)
 
     def test_unitary_contact_towers(self, harmonic_sigma1):
         g = build_group("S3")
         mats = as_matrices(sector_permutation_rep()).astype(complex)
-        decomps = [(lv.energy, decompose_eigenspace(g, mats))
+        decomps = [(lv.energy, dense_decompose(g, mats))
                    for lv in unitary_contact_spectrum(harmonic_sigma1, 7.6)]
         towers = irrep_towers(decomps)
         # Bose-Fermi degeneracy at unitarity
-        assert bosonic_spectrum(towers)[0] == pytest.approx(4.5)
-        assert fermionic_spectrum(towers)[0] == pytest.approx(4.5)
+        assert towers["[3]"][0][0] == pytest.approx(4.5)
+        assert towers["[1^3]"][0][0] == pytest.approx(4.5)
 
     def test_unitary_contact_towers_one_row_per_energy(self, harmonic_sigma1):
         g = build_group("S3")
