@@ -15,16 +15,24 @@ Both 2D operators separate exactly and are diagonalized by the banded
 operator A, and the polar one splits into one radial tridiagonal per
 angular channel (Lynch, Rice & Thomas 1964).
 
-The full 3D operator is diagonalized in S3 symmetry blocks, never on
-the whole n^3 cube.  For the singular models the removed coincidence
-planes decouple the six ordering sectors exactly, so the i < j < k
-sector alone is solved and each of its levels counts six times.  The
-smooth models are restricted to orthonormal bases built from orbits of
-grid-index triples: the [3] and [1^3] blocks and one row of the [21]
-irrep, whose levels count twice.
+The full 3D operator is never diagonalized on the whole n^3 cube.  Two
+models separate exactly on it and take one banded 1D solve of
+A = T + V(x) on the axis:
 
-The 3D blocks are solved by ARPACK Lanczos from a fixed start vector,
-so repeated runs are bit-identical.
+* noninteracting: the cube operator is A (+) A (+) A, whose levels are
+  the sums e_a + e_b + e_c of the levels of A;
+* unitary contact: the coincidence planes are removed and the 3-point
+  stencil never crosses one, so the six ordering sectors decouple and
+  the i < j < k sector block is the fermionic [1^3] block of
+  A (+) A (+) A.  Its levels are the sums over a < b < c, each counted
+  six times (the Bose-Fermi mapping, Girardeau 1960).
+
+The others are diagonalized in S3 symmetry blocks by ARPACK Lanczos
+from a fixed start vector, so repeated runs are bit-identical.
+Inverse-square keeps the sector block of unitary contact, with its
+pair potential on the diagonal.  Harm-harm is restricted to orthonormal
+bases built from orbits of grid-index triples: the [3] and [1^3] blocks
+and one row of the [21] irrep, whose levels count twice.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import scipy.sparse.linalg as spla
 from .errors import (
     ResourceBudgetExceeded,
     SingularPotentialUnresolved,
+    TooFewPoints,
     UnsupportedTrap,
 )
 from .grids import Grid1D, PolarGrid
@@ -320,27 +329,98 @@ def _block_spectrum(blocks, k):
     return np.sort(np.concatenate(vals))[:k]
 
 
+def _separable(spec: ModelSpec) -> bool:
+    """Whether the cube operator is built from one 1D operator alone."""
+    kind = spec.interaction.kind
+    return kind == "none" or (kind == "contact" and spec.interaction.unitary)
+
+
+def _separable_spectrum(spec: ModelSpec, grid: Grid1D, k: int):
+    """Lowest k levels from the levels e of A = T + V(x) on the axis.
+
+    Noninteracting: every e_a + e_b + e_c, from the lowest min(n, k)
+    levels of A.  Unitary contact: the lowest ceil(k/6) sums over
+    a < b < c, which lie among the lowest ceil(k/6) + 2 levels of A,
+    each repeated six times.
+    """
+    x = grid.points()
+    v = spec.trap.potential(x, mass=spec.mass)
+    if spec.interaction.kind == "none":
+        e, _ = _solve_banded(x, v, min(grid.n, k) - 1, 4, spec.mass, spec.hbar)
+        return np.sort((e[:, None, None] + e[:, None] + e).ravel())[:k]
+    m = -(-k // 6)
+    e, _ = _solve_banded(x, v, min(grid.n, m + 2) - 1, 2, spec.mass, spec.hbar)
+    a, b, c = _ordered_triples(len(e))
+    return np.repeat(np.sort(e[a] + e[b] + e[c])[:m], 6)[:k]
+
+
+def _check_blocks(spec: ModelSpec, n: int, k: int):
+    """Raise TooFewPoints unless each block of the n-point cube holds the
+    levels it must supply to the lowest k: ceil(k / copies) of them, and
+    one state more for ARPACK, which returns at most dim - 1."""
+    if n < 2:
+        raise TooFewPoints(f"n = {n} points per axis; the stencil needs 2")
+    sector = math.comb(n, 3)
+    if spec.interaction.kind == "none":
+        blocks = ((n**3, 1),)
+    elif spec.interaction.kind == "harmonic":
+        blocks = ((math.comb(n + 2, 3), 1), (sector, 1),
+                  (2 * sector + n * (n - 1), 2))
+    else:
+        blocks = ((sector, 6),)
+    spare = 0 if _separable(spec) else 1
+    for states, copies in blocks:
+        need = -(-k // copies)
+        if states - spare < need:
+            raise TooFewPoints(
+                f"n = {n} points per axis: a block of {states} states is "
+                f"too small for the {need} levels k = {k} needs from it")
+
+
+def _spectrum_3d(spec: ModelSpec, grid: Grid1D, k: int):
+    if _separable(spec):
+        return _separable_spectrum(spec, grid, k)
+    return _block_spectrum(_hamiltonian_3d(spec, grid), k)
+
+
 def full_spectrum_3d(spec: ModelSpec, grid: Grid1D, k: int = 4, *,
                      refine: bool = False) -> OracleResult:
     """Lowest k eigenvalues of the full three-particle discretization.
 
     The grid is cubic with identical axes so that particle permutations
-    are exact grid symmetries, and H is diagonalized in S3 blocks.
-    Singular interactions remove the coincidence planes as interior hard
-    walls and drop to the 3-point stencil, whose radius-1 neighborhoods
-    never cross a removed plane: the six ordering sectors decouple
-    exactly, so only the i < j < k sector is solved and each of its
-    levels is reported six times.  Smooth interactions are solved in
-    the [3], [1^3] and [21] blocks, each [21] level reported twice.
+    are exact grid symmetries.  Singular interactions remove the
+    coincidence planes as interior hard walls and drop to the 3-point
+    stencil, whose radius-1 neighborhoods never cross a removed plane:
+    the six ordering sectors decouple exactly, so only the i < j < k
+    sector is solved and each of its levels is reported six times.
+    Smooth interactions keep the 5-point stencil.
+
+    Noninteracting and unitary contact are solved exactly by one banded
+    1D solve.  The noninteracting cube operator is A (+) A (+) A for the
+    axis operator A = T + V(x).  The unitary sector block is the
+    fermionic [1^3] block of the same sum taken with the 3-point
+    stencil: a stencil step moves one particle by one point, so it
+    either stays in the sector or lands on a removed point, where every
+    antisymmetric state vanishes.  Harm-harm and inverse-square are
+    solved by Lanczos in S3 blocks: the sector for inverse-square; the
+    [3], [1^3] and [21] blocks for harm-harm, each [21] level reported
+    twice.
+
+    Exactly k levels are returned.  k < 1 raises ValueError; a grid on
+    which some block holds too few states for the levels it must supply
+    raises TooFewPoints (with ``refine``, the halved grid too).
     Finite-gamma contact raises ValueError.
     """
+    if k < 1:
+        raise ValueError(f"k = {k} < 1")
     if grid.n > 128:
         raise ResourceBudgetExceeded(f"n per axis {grid.n} > 128")
     if k > 20:
         raise ResourceBudgetExceeded(f"k = {k} > 20")
-    vals = _block_spectrum(_hamiltonian_3d(spec, grid), k)
+    for g in (grid, grid.halved()) if refine else (grid,):
+        _check_blocks(spec, g.n, k)
+    vals = _spectrum_3d(spec, grid, k)
     delta = None
     if refine:
-        cvals = _block_spectrum(_hamiltonian_3d(spec, grid.halved()), k)
-        delta = np.abs(vals - cvals)
+        delta = np.abs(vals - _spectrum_3d(spec, grid.halved(), k))
     return OracleResult(eigenvalues=vals, convergence_delta=delta)

@@ -12,6 +12,7 @@ from threebody1d.errors import (
     BoxTooSmall,
     ResourceBudgetExceeded,
     SingularPotentialUnresolved,
+    TooFewPoints,
     UnsupportedTrap,
 )
 from threebody1d.grids import Grid1D, PolarGrid
@@ -22,6 +23,7 @@ from threebody1d.models import (
     InverseSquareInteraction,
     ModelSpec,
     NoInteraction,
+    QuadraticTrap,
 )
 from threebody1d.oracle import (
     _eigsh_deterministic,
@@ -157,6 +159,68 @@ class TestFullSpectrum3D:
         monkeypatch.setattr(oracle, "_hamiltonian_3d", assemble)
         with pytest.raises(ResourceBudgetExceeded, match=match):
             full_spectrum_3d(spec_harm_harm, Grid1D(-6.0, 6.0, n), k=k)
+
+    @pytest.mark.parametrize("model, n, k, refine, error, match", [
+        ("harm_harm", 12, 0, False, ValueError, "k = 0"),
+        ("harm_harm", 12, -1, False, ValueError, "k = -1"),
+        ("harm_harm", 3, 4, False, TooFewPoints, "block of 1 states"),
+        ("noninteracting", 1, 1, False, TooFewPoints, "n = 1"),
+        ("calogero", 4, 20, False, TooFewPoints, "block of 4 states"),
+        ("unitary", 6, 20, True, TooFewPoints, "n = 3 points"),
+    ], ids=("k_0", "k_neg", "n_3", "n_1", "calogero_n4_k20", "halved_n3"))
+    def test_bad_k_or_grid_raises_before_solving(
+            self, monkeypatch, request, model, n, k, refine, error, match):
+        def solve(spec, grid, k):
+            raise AssertionError("solved with a bad k or grid")
+
+        monkeypatch.setattr(oracle, "_spectrum_3d", solve)
+        spec = request.getfixturevalue(f"spec_{model}")
+        with pytest.raises(error, match=match):
+            full_spectrum_3d(spec, Grid1D(-3.0, 3.0, n), k=k, refine=refine)
+
+    @pytest.mark.parametrize("model, n", [("unitary", 4), ("noninteracting", 2)])
+    def test_separable_path_supplies_every_level_of_a_small_grid(
+            self, request, cube_hamiltonian, model, n):
+        # 20 levels from 4 sector states (x 6) and from 8 cube states:
+        # all of them, where Lanczos could return at most dim - 1
+        spec = request.getfixturevalue(f"spec_{model}")
+        grid = Grid1D(-3.0, 3.0, n)
+        h, keep = cube_hamiltonian(spec, grid)
+        full = np.linalg.eigvalsh(h[keep][:, keep].toarray())
+        k = min(20, len(full))
+        vals = full_spectrum_3d(spec, grid, k=k).eigenvalues
+        np.testing.assert_allclose(vals, full[:k], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 10])
+    @pytest.mark.parametrize("trap", [
+        HarmonicTrap(0.7), HarmonicTrap(1.0), HarmonicTrap(1.3),
+        QuadraticTrap(0.6, 0.3, -0.2)], ids=("w0.7", "w1", "w1.3", "quadratic"))
+    @pytest.mark.parametrize("interaction", [
+        NoInteraction(), ContactInteraction(unitary=True)],
+        ids=("noninteracting", "unitary"))
+    def test_separable_levels_match_the_cube(self, cube_hamiltonian,
+                                             interaction, trap, n):
+        # the banded 1D path against every level of the kept-point cube
+        spec = ModelSpec(trap, interaction)
+        grid = Grid1D(-5.0, 5.0, n)
+        h, keep = cube_hamiltonian(spec, grid)
+        full = np.linalg.eigvalsh(h[keep][:, keep].toarray())
+        vals = full_spectrum_3d(spec, grid, k=20).eigenvalues
+        np.testing.assert_allclose(vals, full[:20], rtol=0, atol=1e-12)
+
+    def test_only_harm_harm_and_inverse_square_run_lanczos(
+            self, monkeypatch, spec_noninteracting, spec_unitary,
+            spec_harm_harm, spec_calogero):
+        def eigsh(*args, **kwargs):
+            raise RuntimeError("Lanczos ran")
+
+        monkeypatch.setattr(spla, "eigsh", eigsh)
+        grid = Grid1D(-6.0, 6.0, 12)
+        for spec in (spec_noninteracting, spec_unitary):
+            assert len(full_spectrum_3d(spec, grid, k=6).eigenvalues) == 6
+        for spec in (spec_harm_harm, spec_calogero):
+            with pytest.raises(RuntimeError, match="Lanczos ran"):
+                full_spectrum_3d(spec, grid, k=6)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_blocks_hold_the_whole_spectrum(self, model, request,
