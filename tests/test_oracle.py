@@ -178,20 +178,7 @@ class TestFullSpectrum3D:
         with pytest.raises(error, match=match):
             full_spectrum_3d(spec, Grid1D(-3.0, 3.0, n), k=k, refine=refine)
 
-    @pytest.mark.parametrize("model, n", [("unitary", 4), ("noninteracting", 2)])
-    def test_separable_path_supplies_every_level_of_a_small_grid(
-            self, request, cube_hamiltonian, model, n):
-        # 20 levels from 4 sector states (x 6) and from 8 cube states:
-        # all of them, where Lanczos could return at most dim - 1
-        spec = request.getfixturevalue(f"spec_{model}")
-        grid = Grid1D(-3.0, 3.0, n)
-        h, keep = cube_hamiltonian(spec, grid)
-        full = np.linalg.eigvalsh(h[keep][:, keep].toarray())
-        k = min(20, len(full))
-        vals = full_spectrum_3d(spec, grid, k=k).eigenvalues
-        np.testing.assert_allclose(vals, full[:k], rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("n", [8, 10])
+    @pytest.mark.parametrize("n", [4, 8, 10])
     @pytest.mark.parametrize("trap", [
         HarmonicTrap(0.7), HarmonicTrap(1.0), HarmonicTrap(1.3),
         QuadraticTrap(0.6, 0.3, -0.2)], ids=("w0.7", "w1", "w1.3", "quadratic"))
@@ -200,7 +187,9 @@ class TestFullSpectrum3D:
         ids=("noninteracting", "unitary"))
     def test_separable_levels_match_the_cube(self, cube_hamiltonian,
                                              interaction, trap, n):
-        # the banded 1D path against every level of the kept-point cube
+        # the banded 1D path against every level of the kept-point cube;
+        # at n = 4 the unitary sector holds 4 states, so k = 20 takes all
+        # of them, where Lanczos returns at most dim - 1
         spec = ModelSpec(trap, interaction)
         grid = Grid1D(-5.0, 5.0, n)
         h, keep = cube_hamiltonian(spec, grid)
