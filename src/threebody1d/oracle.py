@@ -29,10 +29,13 @@ A = T + V(x) on the axis:
 
 The others are diagonalized in S3 symmetry blocks by ARPACK Lanczos
 from a fixed start vector, so repeated runs are bit-identical.
-Inverse-square keeps the sector block of unitary contact, with its
-pair potential on the diagonal.  Harm-harm is restricted to orthonormal
-bases built from orbits of grid-index triples: the [3] and [1^3] blocks
-and one row of the [21] irrep, whose levels count twice.
+Inverse-square keeps the sector block of unitary contact.  Harm-harm is
+restricted to orthonormal bases built from orbits of grid-index
+triples: the [3] and [1^3] blocks and one row of the [21] irrep, whose
+levels count twice.  Each block's kinetic part is built once per grid
+and the S3-invariant potential adds only its diagonal.  For harm-harm,
+a min-max bound from the noninteracting levels skips the [1^3] solve
+when that block cannot reach the lowest k.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,8 +87,8 @@ def _eigsh_deterministic(h, k):
     """
     n = h.shape[0]
     v0 = np.random.default_rng(2024).standard_normal(n)
-    # solve with slack so degenerate multiplets (up to 6-fold here) are
-    # not truncated mid-cluster, then return the lowest k
+    # slack so degenerate multiplets (up to 6-fold in the inverse-square
+    # sector) are not truncated mid-cluster; the lowest k are returned
     ks = min(k + 6, n - 1)
     vals, vecs = spla.eigsh(h.tocsr(), k=ks, which="SA", v0=v0,
                             maxiter=50 * n, tol=1e-10)
@@ -173,11 +177,18 @@ def relative_spectrum_2d(spec: ModelSpec, grid=None, k: int = 8, *,
     operators separate and are diagonalized exactly by banded 1D solves.
     ``refine`` re-solves at half resolution and attaches the per-level
     delta; for the singular models a delta above 1e-3 relative raises
-    SingularPotentialUnresolved.
+    SingularPotentialUnresolved.  Exactly k levels are returned: k < 1
+    raises ValueError, a grid (or with ``refine`` a halved grid) of
+    fewer than k points TooFewPoints.
     """
+    if k < 1:
+        raise ValueError(f"k = {k} < 1")
     if grid is None:
         grid = default_relative_grid(spec)
     singular = isinstance(grid, PolarGrid)
+    for g in (grid, grid.halved()) if refine else (grid,):
+        if (points := g.n_rho * g.n_phi if singular else g.n**2) < k:
+            raise TooFewPoints(f"{points} grid points are too few for k = {k}")
     levels = _polar_relative_levels if singular else _cartesian_relative_levels
     vals, ground = levels(spec, grid, k)
     if not singular:
@@ -199,134 +210,119 @@ def relative_spectrum_2d(spec: ModelSpec, grid=None, k: int = 8, *,
 # full 3D problem
 # ---------------------------------------------------------------------------
 
-def _potential_3d(spec: ModelSpec, x: np.ndarray):
-    x1 = x[:, None, None]
-    x2 = x[None, :, None]
-    x3 = x[None, None, :]
-    v = (spec.trap.potential(x1, mass=spec.mass)
-         + spec.trap.potential(x2, mass=spec.mass)
-         + spec.trap.potential(x3, mass=spec.mass))
-    v = np.broadcast_to(v, (len(x),) * 3).astype(float).copy()
-    kind = spec.interaction.kind
-    masked = False
-    if kind == "harmonic":
-        g = spec.interaction.gamma
-        v += g * ((x1 - x2) ** 2 + (x2 - x3) ** 2 + (x3 - x1) ** 2)
-    elif kind == "inverse_square":
-        g = spec.interaction.gamma
-        masked = True
-        with np.errstate(divide="ignore"):
-            for d in ((x1 - x2), (x2 - x3), (x3 - x1)):
-                term = g / d**2
-                term[~np.isfinite(term)] = 0.0  # no block reaches masked points
-                v += term
-    elif kind == "contact":
-        if not spec.interaction.unitary:
-            raise ValueError("the 3D solver handles contact only in the "
-                             "unitary limit: finite gamma has no grid form "
-                             "with a controlled continuum limit")
-        masked = True
-    return v, masked
-
-
-def _cube_hamiltonian(spec: ModelSpec, grid: Grid1D):
-    """Sparse H on the whole n^3 cube, and whether the model is masked.
-
-    A masked model's coincidence points are not removed here: its blocks
-    never reach them (see ``_hamiltonian_3d``).
-    """
-    x = grid.points()
-    n = grid.n
-    v, masked = _potential_3d(spec, x)
-    order = 2 if masked else 4
-    t1 = kinetic_fd_1d(n, grid.dx, order=order, mass=spec.mass, hbar=spec.hbar)
-    eye = sp.identity(n)
-    h = (sp.kron(sp.kron(t1, eye), eye)
-         + sp.kron(sp.kron(eye, t1), eye)
-         + sp.kron(sp.kron(eye, eye), t1)
-         + sp.diags(v.ravel()))
-    return h.tocsr(), masked
-
-
 def _flat(n, a, b, c):
     return (a * n + b) * n + c
 
 
 def _ordered_triples(n):
-    """Index arrays (a, b, c) of every grid triple with a < b < c."""
-    i = np.arange(n)
-    a, b, c = np.meshgrid(i, i, i, indexing="ij")
-    keep = (a < b) & (b < c)
-    return a[keep], b[keep], c[keep]
+    """(3, C(n, 3)) index array (a, b, c) of the triples a < b < c, in order."""
+    return np.array(list(combinations(range(n), 3)), dtype=int).reshape(-1, 3).T
 
 
 def _orbit_basis(n, orbits, coeffs):
     """Sparse (n^3, m) matrix, one column per orbit, weights ``coeffs``.
 
-    ``orbits`` lists the flat indices of the orbits' members, one array
-    of length m per member; member j of every orbit has weight coeffs[j].
+    ``orbits`` lists the members' index triples (a, b, c), each a length-m
+    array; member j of every orbit has weight coeffs[j].
     """
-    m = len(orbits[0])
+    m = len(orbits[0][0])
     j = np.flatnonzero(coeffs)
-    rows = np.concatenate([orbits[jj] for jj in j])
+    rows = np.concatenate([_flat(n, *orbits[jj]) for jj in j])
     cols = np.tile(np.arange(m), len(j))
     return sp.csc_matrix((np.repeat(coeffs[j], m), (rows, cols)),
                          shape=(n**3, m))
 
 
-@lru_cache(maxsize=4)
 def _irrep_bases(n: int):
     """Orthonormal bases of the S3 blocks of the n^3 grid, as sparse columns.
 
-    Returns (b3, b111, b21): b3 the normalized orbit sums ([3]); b111
-    the signed orbit sums over distinct triples ([1^3]); b21 one row of
-    the [21] irrep, the (12)-even vectors of each orbit orthogonal to
+    Returns ((b3, t3), (b111, t111), (b21, t21)), each t (3, m) holding a
+    member of each column's orbit: b3 the normalized orbit sums ([3]);
+    b111 the signed orbit sums over distinct triples ([1^3]); b21 one row
+    of the [21] irrep, the (12)-even vectors of each orbit orthogonal to
     its orbit sum: two per distinct orbit, one per orbit with two equal
-    indices.  They depend on n alone, not on the model.
+    indices.
     """
     a, b, c = _ordered_triples(n)
     # members paired by (12): abc|bac, acb|cab, bca|cba
-    six = [_flat(n, *t) for t in ((a, b, c), (b, a, c), (a, c, b),
-                                  (c, a, b), (b, c, a), (c, b, a))]
+    six = [(a, b, c), (b, a, c), (a, c, b), (c, a, b), (b, c, a), (c, b, a)]
     i = np.arange(n)
     p, q = np.meshgrid(i, i, indexing="ij")
     p, q = p[p != q], q[p != q]
-    three = [_flat(n, p, p, q), _flat(n, p, q, p), _flat(n, q, p, p)]
+    three = [(p, p, q), (p, q, p), (q, p, p)]
 
     def basis(*parts):
-        return sp.hstack([_orbit_basis(n, orbits, np.divide(w, math.hypot(*w)))
-                          for orbits, w in parts]).tocsc()
+        b = sp.hstack([_orbit_basis(n, orbits, np.divide(w, math.hypot(*w)))
+                       for orbits, w in parts]).tocsc()
+        return b, np.hstack([orbits[0] for orbits, _ in parts])
 
-    b3 = basis((six, [1] * 6), (three, [1] * 3), ([_flat(n, i, i, i)], [1]))
-    b111 = basis((six, [1, -1, -1, 1, 1, -1]))
-    b21 = basis((six, [2, 2, -1, -1, -1, -1]), (six, [0, 0, -1, -1, 1, 1]),
-                (three, [2, -1, -1]))
-    return b3, b111, b21
+    return (basis((six, [1] * 6), (three, [1] * 3), ([(i, i, i)], [1])),
+            basis((six, [1, -1, -1, 1, 1, -1])),
+            basis((six, [2, 2, -1, -1, -1, -1]), (six, [0, 0, -1, -1, 1, 1]),
+                  (three, [2, -1, -1])))
 
 
-# 2 covers all reuse: refine's two grids
 @lru_cache(maxsize=2)
-def _hamiltonian_3d(spec: ModelSpec, grid: Grid1D):
-    """The S3 blocks of the 3D Hamiltonian: ((block, copies), ...).
-
-    A masked model is six identical copies of its i < j < k sector
-    block.  A smooth one splits into [3], [1^3] and [21] blocks; each
-    [21] level appears twice in the full spectrum.
-    """
-    h, masked = _cube_hamiltonian(spec, grid)
+def _kinetic_blocks(n, dx, mass, hbar, masked):
+    """((K, t, copies), ...): T (+) T (+) T on each S3 block, t as in
+    ``_irrep_bases``.  Masked: the i < j < k sector of the 3-point
+    stencil.  Smooth: the 5-point stencil on [3], [1^3] and [21].  The
+    model does not enter, so one build serves every coupling on a grid."""
+    t1 = kinetic_fd_1d(n, dx, order=2 if masked else 4, mass=mass, hbar=hbar)
+    cube = sp.kronsum(t1, sp.kronsum(t1, t1), format="csr")
     if masked:
-        sector = _flat(grid.n, *_ordered_triples(grid.n))
-        return ((h[sector][:, sector], 6),)
-    b3, b111, b21 = _irrep_bases(grid.n)
-    return tuple(((b.T @ h @ b).tocsr(), copies)
-                 for b, copies in ((b3, 1), (b111, 1), (b21, 2)))
+        sector = _ordered_triples(n)
+        flat = _flat(n, *sector)
+        return ((cube[flat][:, flat], sector, 6),)
+    return tuple(((b.T @ cube @ b).tocsr(), t, copies)
+                 for (b, t), copies in zip(_irrep_bases(n), (1, 1, 2)))
 
 
-def _block_spectrum(blocks, k):
-    """Lowest k levels of the union of the block spectra, with copies."""
-    vals = [np.repeat(_eigsh_deterministic(h, -(-k // copies))[0], copies)
-            for h, copies in blocks]
-    return np.sort(np.concatenate(vals))[:k]
+def _potential_3d(spec: ModelSpec, x1, x2, x3):
+    """V at (x1, x2, x3), elementwise; the inverse-square term is only
+    evaluated on the sector's distinct triples, where it is finite."""
+    v = sum(spec.trap.potential(xi, mass=spec.mass) for xi in (x1, x2, x3))
+    kind, pairs = spec.interaction.kind, (x1 - x2, x2 - x3, x3 - x1)
+    if kind == "harmonic":
+        v = v + spec.interaction.gamma * sum(d**2 for d in pairs)
+    elif kind == "inverse_square":
+        v = v + sum(spec.interaction.gamma / d**2 for d in pairs)
+    return v
+
+
+def _hamiltonian_3d(spec: ModelSpec, grid: Grid1D):
+    """The S3 blocks of the 3D Hamiltonian, ((block, copies), ...): six
+    copies of the i < j < k sector if masked, else [3], [1^3] and [21]
+    (two copies).  V is S3-invariant and each column lives on one orbit,
+    so B^T V B is V on the orbits, added to the cached kinetic block."""
+    x = grid.points()
+    masked = spec.interaction.kind not in ("none", "harmonic")
+    blocks = _kinetic_blocks(grid.n, grid.dx, spec.mass, spec.hbar, masked)
+    return tuple((kin + sp.diags(_potential_3d(spec, *x[t])), copies)
+                 for kin, t, copies in blocks)
+
+
+def _block_spectrum(spec: ModelSpec, grid: Grid1D, k: int):
+    """Lowest k levels of the union of the block spectra, with copies.
+
+    Harm-harm with gamma >= 0 is H0 + W, H0 noninteracting and W >= 0
+    diagonal, so by min-max each level of a block of H is at least that
+    level of the same block of H0.  [1^3] is solved last, and only for
+    its H0 levels (``_fermion_sums``) at or below the k-th level so far.
+    """
+    blocks = list(_hamiltonian_3d(spec, grid))
+    bound = spec.interaction.kind == "harmonic" and spec.interaction.gamma >= 0
+    if bound:
+        blocks.append(blocks.pop(1))
+    vals = np.empty(0)
+    for j, (h, copies) in enumerate(blocks):
+        need = -(-k // copies)
+        if bound and j == 2:
+            need = np.count_nonzero(_fermion_sums(spec, grid, k, 4) <= vals[-1])
+        if need:
+            new = np.repeat(_eigsh_deterministic(h, need)[0], copies)
+            vals = np.sort(np.r_[vals, new])[:k]
+    return vals
 
 
 def _separable(spec: ModelSpec) -> bool:
@@ -335,23 +331,30 @@ def _separable(spec: ModelSpec) -> bool:
     return kind == "none" or (kind == "contact" and spec.interaction.unitary)
 
 
-def _separable_spectrum(spec: ModelSpec, grid: Grid1D, k: int):
-    """Lowest k levels from the levels e of A = T + V(x) on the axis.
-
-    Noninteracting: every e_a + e_b + e_c, from the lowest min(n, k)
-    levels of A.  Unitary contact: the lowest ceil(k/6) sums over
-    a < b < c, which lie among the lowest ceil(k/6) + 2 levels of A,
-    each repeated six times.
-    """
+def _axis_levels(spec: ModelSpec, grid: Grid1D, count: int, order: int):
+    """Lowest min(n, count) levels of A = T + V(x) on the axis."""
     x = grid.points()
-    v = spec.trap.potential(x, mass=spec.mass)
+    return _solve_banded(x, spec.trap.potential(x, mass=spec.mass),
+                         min(grid.n, count) - 1, order, spec.mass, spec.hbar)[0]
+
+
+def _fermion_sums(spec: ModelSpec, grid: Grid1D, m: int, order: int):
+    """Lowest m sums e_a + e_b + e_c over a < b < c of the levels e of A:
+    the [1^3] levels of A (+) A (+) A.  They lie among the lowest m + 2
+    levels of A; a grid with fewer triples gives fewer sums."""
+    e = _axis_levels(spec, grid, m + 2, order)
+    return np.sort(e[_ordered_triples(len(e))].sum(axis=0))[:m]
+
+
+def _separable_spectrum(spec: ModelSpec, grid: Grid1D, k: int):
+    """Lowest k levels from the levels e of A = T + V(x) on the axis:
+    noninteracting, every e_a + e_b + e_c from the lowest min(n, k)
+    levels; unitary contact, the lowest ceil(k/6) sums over a < b < c,
+    each repeated six times."""
     if spec.interaction.kind == "none":
-        e, _ = _solve_banded(x, v, min(grid.n, k) - 1, 4, spec.mass, spec.hbar)
+        e = _axis_levels(spec, grid, k, 4)
         return np.sort((e[:, None, None] + e[:, None] + e).ravel())[:k]
-    m = -(-k // 6)
-    e, _ = _solve_banded(x, v, min(grid.n, m + 2) - 1, 2, spec.mass, spec.hbar)
-    a, b, c = _ordered_triples(len(e))
-    return np.repeat(np.sort(e[a] + e[b] + e[c])[:m], 6)[:k]
+    return np.repeat(_fermion_sums(spec, grid, -(-k // 6), 2), 6)[:k]
 
 
 def _check_blocks(spec: ModelSpec, n: int, k: int):
@@ -361,13 +364,10 @@ def _check_blocks(spec: ModelSpec, n: int, k: int):
     if n < 2:
         raise TooFewPoints(f"n = {n} points per axis; the stencil needs 2")
     sector = math.comb(n, 3)
-    if spec.interaction.kind == "none":
-        blocks = ((n**3, 1),)
-    elif spec.interaction.kind == "harmonic":
-        blocks = ((math.comb(n + 2, 3), 1), (sector, 1),
-                  (2 * sector + n * (n - 1), 2))
-    else:
-        blocks = ((sector, 6),)
+    blocks = {"none": ((n**3, 1),),
+              "harmonic": ((math.comb(n + 2, 3), 1), (sector, 1),
+                           (2 * sector + n * (n - 1), 2))
+              }.get(spec.interaction.kind, ((sector, 6),))
     spare = 0 if _separable(spec) else 1
     for states, copies in blocks:
         need = -(-k // copies)
@@ -380,7 +380,7 @@ def _check_blocks(spec: ModelSpec, n: int, k: int):
 def _spectrum_3d(spec: ModelSpec, grid: Grid1D, k: int):
     if _separable(spec):
         return _separable_spectrum(spec, grid, k)
-    return _block_spectrum(_hamiltonian_3d(spec, grid), k)
+    return _block_spectrum(spec, grid, k)
 
 
 def full_spectrum_3d(spec: ModelSpec, grid: Grid1D, k: int = 4, *,
@@ -395,24 +395,25 @@ def full_spectrum_3d(spec: ModelSpec, grid: Grid1D, k: int = 4, *,
     sector is solved and each of its levels is reported six times.
     Smooth interactions keep the 5-point stencil.
 
-    Noninteracting and unitary contact are solved exactly by one banded
-    1D solve.  The noninteracting cube operator is A (+) A (+) A for the
-    axis operator A = T + V(x).  The unitary sector block is the
-    fermionic [1^3] block of the same sum taken with the 3-point
-    stencil: a stencil step moves one particle by one point, so it
-    either stays in the sector or lands on a removed point, where every
-    antisymmetric state vanishes.  Harm-harm and inverse-square are
-    solved by Lanczos in S3 blocks: the sector for inverse-square; the
-    [3], [1^3] and [21] blocks for harm-harm, each [21] level reported
-    twice.
+    Noninteracting and unitary contact take one banded 1D solve of the
+    axis operator A = T + V(x).  The unitary sector block is the [1^3]
+    block of A (+) A (+) A with the 3-point stencil: a stencil step moves
+    one particle by one point, into the sector or onto a removed point,
+    where every antisymmetric state vanishes.  Harm-harm and
+    inverse-square take Lanczos in S3 blocks: a kinetic block cached per
+    grid plus the potential on the diagonal, and for harm-harm with
+    gamma >= 0 the [1^3] block only as far as a min-max bound requires.
 
-    Exactly k levels are returned.  k < 1 raises ValueError; a grid on
-    which some block holds too few states for the levels it must supply
-    raises TooFewPoints (with ``refine``, the halved grid too).
-    Finite-gamma contact raises ValueError.
+    Exactly k levels are returned.  k < 1 and finite-gamma contact raise
+    ValueError; a grid on which some block holds too few states for the
+    levels it must supply raises TooFewPoints (with ``refine``, the
+    halved grid too).
     """
     if k < 1:
         raise ValueError(f"k = {k} < 1")
+    if spec.interaction.kind == "contact" and not spec.interaction.unitary:
+        raise ValueError("the 3D solver handles contact only in the unitary "
+                         "limit: finite gamma has no controlled grid form")
     if grid.n > 128:
         raise ResourceBudgetExceeded(f"n per axis {grid.n} > 128")
     if k > 20:
@@ -420,7 +421,6 @@ def full_spectrum_3d(spec: ModelSpec, grid: Grid1D, k: int = 4, *,
     for g in (grid, grid.halved()) if refine else (grid,):
         _check_blocks(spec, g.n, k)
     vals = _spectrum_3d(spec, grid, k)
-    delta = None
-    if refine:
-        delta = np.abs(vals - _spectrum_3d(spec, grid.halved(), k))
+    delta = (np.abs(vals - _spectrum_3d(spec, grid.halved(), k)) if refine
+             else None)
     return OracleResult(eigenvalues=vals, convergence_delta=delta)

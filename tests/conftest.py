@@ -19,11 +19,7 @@ from threebody1d import (
 )
 from threebody1d.grids import PolarGrid
 from threebody1d.onebody import kinetic_fd_1d
-from threebody1d.oracle import (
-    CM_ANGULAR_PREFACTOR,
-    _cube_hamiltonian,
-    relative_potential_smooth,
-)
+from threebody1d.oracle import CM_ANGULAR_PREFACTOR, relative_potential_smooth
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +66,47 @@ def coincidence_mask(n: int) -> np.ndarray:
     i = np.arange(n)
     a, b, c = np.meshgrid(i, i, i, indexing="ij")
     return (a == b) | (b == c) | (a == c)
+
+
+def _potential_3d(spec, x):
+    """V on the whole n^3 cube, and whether the model is masked.
+
+    A masked model's pair potential is set to 0 on the coincidence
+    planes, which it removes.
+    """
+    x1, x2, x3 = x[:, None, None], x[None, :, None], x[None, None, :]
+    v = (spec.trap.potential(x1, mass=spec.mass)
+         + spec.trap.potential(x2, mass=spec.mass)
+         + spec.trap.potential(x3, mass=spec.mass))
+    v = np.broadcast_to(v, (len(x),) * 3).astype(float).copy()
+    kind = spec.interaction.kind
+    if kind == "harmonic":
+        g = spec.interaction.gamma
+        v += g * ((x1 - x2) ** 2 + (x2 - x3) ** 2 + (x3 - x1) ** 2)
+    elif kind == "inverse_square":
+        g = spec.interaction.gamma
+        with np.errstate(divide="ignore"):
+            for d in ((x1 - x2), (x2 - x3), (x3 - x1)):
+                term = g / d**2
+                term[~np.isfinite(term)] = 0.0
+                v += term
+    return v, kind in ("inverse_square", "contact")
+
+
+def _cube_hamiltonian(spec, grid):
+    """Sparse H on the whole n^3 cube, from the kron'd 1D stencil, and
+    whether the model is masked (3-point stencil, coincidence planes
+    removed) or smooth (5-point stencil)."""
+    v, masked = _potential_3d(spec, grid.points())
+    n = grid.n
+    t1 = kinetic_fd_1d(n, grid.dx, order=2 if masked else 4, mass=spec.mass,
+                       hbar=spec.hbar)
+    eye = sp.identity(n)
+    h = (sp.kron(sp.kron(t1, eye), eye)
+         + sp.kron(sp.kron(eye, t1), eye)
+         + sp.kron(sp.kron(eye, eye), t1)
+         + sp.diags(v.ravel()))
+    return h.tocsr(), masked
 
 
 @pytest.fixture(scope="session")

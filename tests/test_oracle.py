@@ -18,6 +18,7 @@ from threebody1d.errors import (
 from threebody1d.grids import Grid1D, PolarGrid
 from threebody1d.models import (
     ContactInteraction,
+    HarmonicInteraction,
     HarmonicTrap,
     InfiniteWell,
     InverseSquareInteraction,
@@ -130,6 +131,26 @@ class TestRelativeSpectrum2D:
                            match="grid-halving instability"):
             relative_spectrum_2d(spec_calogero, SECTOR_GRID, k=6, refine=True)
 
+    @pytest.mark.parametrize("grid, k, refine, error, match", [
+        (sector_grid(3, 2), 20, False, TooFewPoints, "6 grid points"),
+        (Grid1D(-7.0, 7.0, 4), 17, False, TooFewPoints, "16 grid points"),
+        (Grid1D(-7.0, 7.0, 6), 10, True, TooFewPoints, "9 grid points"),
+        (SECTOR_GRID, 0, False, ValueError, "k = 0"),
+        (Grid1D(-7.0, 7.0, 48), -1, False, ValueError, "k = -1"),
+    ], ids=("polar_6_k20", "cartesian_16_k17", "halved_9_k10", "k_0",
+            "k_neg"))
+    def test_bad_k_or_grid_raises_before_solving(
+            self, monkeypatch, spec_calogero, spec_harm_harm, grid, k,
+            refine, error, match):
+        def solve(spec, grid, k):
+            raise AssertionError("solved with a bad k or grid")
+
+        monkeypatch.setattr(oracle, "_cartesian_relative_levels", solve)
+        monkeypatch.setattr(oracle, "_polar_relative_levels", solve)
+        spec = spec_calogero if isinstance(grid, PolarGrid) else spec_harm_harm
+        with pytest.raises(error, match=match):
+            relative_spectrum_2d(spec, grid, k=k, refine=refine)
+
     def test_trap_without_relative_frame_raises(self):
         spec = ModelSpec(InfiniteWell(2.0), ContactInteraction(unitary=True))
         with pytest.raises(UnsupportedTrap):
@@ -238,6 +259,44 @@ class TestFullSpectrum3D:
             full, blocks = distinct_levels(full), distinct_levels(blocks)
         np.testing.assert_allclose(blocks[:len(full)], full, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("k, solves_antisymmetric", [(4, False),
+                                                         (6, True)])
+    def test_antisymmetric_block_is_solved_only_when_in_reach(
+            self, monkeypatch, k, solves_antisymmetric):
+        # gamma = 0.4: the lowest noninteracting [1^3] level, about 4.50,
+        # lies above the 4th harm-harm level (4.19), below the 6th (5.19)
+        sizes = []
+
+        def eigsh(h, k):
+            sizes.append(h.shape[0])
+            return _eigsh_deterministic(h, k)
+
+        monkeypatch.setattr(oracle, "_eigsh_deterministic", eigsh)
+        spec = ModelSpec(HarmonicTrap(1.0), HarmonicInteraction(0.4))
+        full_spectrum_3d(spec, Grid1D(-6.0, 6.0, 12), k=k)
+        assert len(sizes) == 2 + solves_antisymmetric
+        assert (comb(12, 3) in sizes) == solves_antisymmetric
+
+    @pytest.mark.parametrize("k", [1, 4, 6, 12])
+    @pytest.mark.parametrize("gamma", [0.0, 0.4, 1.0])
+    def test_skipped_blocks_leave_the_levels_unchanged(self, gamma, k):
+        spec = ModelSpec(HarmonicTrap(1.0), HarmonicInteraction(gamma))
+        grid = Grid1D(-6.0, 6.0, 12)
+        every = np.sort(np.concatenate([
+            np.repeat(_eigsh_deterministic(h, -(-k // copies))[0], copies)
+            for h, copies in _hamiltonian_3d(spec, grid)]))[:k]
+        vals = full_spectrum_3d(spec, grid, k=k).eigenvalues
+        np.testing.assert_allclose(vals, every, rtol=0, atol=1e-12)
+
+    def test_kinetic_blocks_are_built_once_per_grid(self):
+        oracle._kinetic_blocks.cache_clear()
+        grid = Grid1D(-6.0, 6.0, 12)
+        for gamma in (0.3, 0.4):
+            spec = ModelSpec(HarmonicTrap(1.0), HarmonicInteraction(gamma))
+            full_spectrum_3d(spec, grid, k=4)
+        info = oracle._kinetic_blocks.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     @pytest.mark.parametrize("n", [12, 32])
     def test_masked_ground_level_is_sixfold(self, spec_unitary, n):
         vals = full_spectrum_3d(spec_unitary, Grid1D(-6.0, 6.0, n), k=7).eigenvalues
@@ -256,7 +315,7 @@ class TestFullSpectrum3D:
 @pytest.mark.parametrize("n", [5, 12])
 def test_irrep_bases_are_orthonormal(n):
     sizes = (comb(n + 2, 3), comb(n, 3), 2 * comb(n, 3) + n * (n - 1))
-    bases = _irrep_bases(n)
+    bases = [b for b, _ in _irrep_bases(n)]
     assert tuple(b.shape[1] for b in bases) == sizes
     for b in bases:
         gram = (b.T @ b).toarray()
@@ -269,7 +328,8 @@ def test_irrep_bases_are_orthonormal(n):
 
 def test_irrep_bases_transform_as_their_irreps():
     n = 5
-    b3, b111, b21 = (b.toarray().reshape(n, n, n, -1) for b in _irrep_bases(n))
+    b3, b111, b21 = (b.toarray().reshape(n, n, n, -1)
+                     for b, _ in _irrep_bases(n))
 
     def swap12(v):
         return v.transpose(1, 0, 2, 3)
