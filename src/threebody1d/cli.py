@@ -50,9 +50,9 @@ MODELS = ("noninteracting", "harm-harm", "calogero", "unitary-contact")
 CHECKS = ("oracle", "ladder", "invariants", "schmidt", "gold")
 # Widest energy window of ``spectrum`` and ``irreps``, in quanta of
 # hbar*omega.  The states in a window grow as the cube of its width: at
-# 250 quanta, on a 2-core host, ``spectrum`` takes 2.5-5.8 s and
-# 120-390 MB peak RSS for the four models, and ``irreps`` 7.9 s and
-# 140 MB (noninteracting) or 4.5 s and 260 MB (unitary contact).
+# 250 quanta (omega = 1), on a 2-core host, ``spectrum`` takes 0.7-1.6 s
+# and 86-200 MB peak RSS for the four models, and ``irreps`` 4.1 s and
+# 110 MB (noninteracting) or 1.3 s and 230 MB (unitary contact).
 MAX_WINDOW_QUANTA = 250
 
 
@@ -118,6 +118,8 @@ def _spectrum_csv(spec, model, emax):
     if model == "calogero":
         omega = _require_omega(spec)
         gamma = _require_gamma(spec, ("inverse_square",), model)
+        if not gamma > 0:
+            raise ConfigError(f"model {model!r} needs interaction.gamma > 0")
         levels = calogero_moser_spectrum(omega, gamma, emax, mass=spec.mass,
                                          hbar=spec.hbar)
         return silver_levels_to_csv("calogero_moser", levels)
@@ -148,8 +150,8 @@ def cmd_irreps(args) -> int:
         _require_gamma(spec, ("contact",), args.model)
         # every level carries the same six-sector (regular) representation
         regular = decompose_eigenspace(group, sector_permutation_rep(group))
-        decomps = [(lv.energy, regular) for lv in unitary_contact_spectrum(
-            _one_body(spec, args.emax, 8), args.emax)]
+        decomps = [(e, regular) for e in unitary_contact_spectrum(
+            _one_body(spec, args.emax, 8), args.emax).energy.tolist()]
     elif args.model == "noninteracting":
         _require_gamma(spec, ("none",), args.model)
         for lv in compose_spectrum(_one_body(spec, args.emax, 4), args.emax):

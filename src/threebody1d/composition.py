@@ -13,6 +13,9 @@ from .errors import TruncationRisk
 from .onebody import OneBodySpectrum
 
 CLASS_SIZE = {"nondegenerate": 1, "threefold": 3, "sixfold": 6}
+# class of a multiset n1 <= n2 <= n3, indexed by (n1 != n2) + (n2 != n3)
+CLASS_NAMES = ("nondegenerate", "threefold", "sixfold")
+_CLASS_STATES = np.array([CLASS_SIZE[c] for c in CLASS_NAMES])
 
 # Relative energy tolerance under which levels of an exact spectrum count
 # as degenerate.
@@ -22,11 +25,7 @@ GROUP_TOLERANCE = 1e-9
 def multiset_class(ms) -> str:
     """Degeneracy class of one multiset {n1 <= n2 <= n3}."""
     a, b, c = ms
-    if a == b == c:
-        return "nondegenerate"
-    if a == b or b == c:
-        return "threefold"
-    return "sixfold"
+    return CLASS_NAMES[(a != b) + (b != c)]
 
 
 @dataclass(frozen=True)
@@ -67,58 +66,58 @@ def energy_cutoff(e_max: float, tol: float) -> float:
     return e_max + tol * max(1.0, abs(e_max))
 
 
-def group_by_energy(entries, tol: float):
-    """Split (energy, item) pairs, sorted by energy, into degenerate runs.
+def energy_runs(energies, tol: float) -> list:
+    """Offsets of the degenerate runs of a sorted energy column.
 
-    A run collects every entry within ``tol * max(1, |E0|)`` of its
-    lowest energy E0; the next entry beyond that starts a new run.
+    A run collects every energy within ``tol * max(1, |E0|)`` of its
+    lowest energy E0; the next energy beyond that starts a new run.
+    Only the distinct energies are visited.  Returns
+    [b_0 = 0, b_1, ..., len(energies)]: run q is energies[b_q:b_(q+1)].
     """
-    group = []
-    for entry in entries:
-        e0 = group[0][0] if group else entry[0]
-        if entry[0] - e0 > tol * max(1.0, abs(e0)):
-            yield group
-            group = []
-        group.append(entry)
-    if group:
-        yield group
+    e = np.asarray(energies, dtype=float)
+    if not len(e):
+        return [0]
+    first = np.concatenate(([0], (e[1:] != e[:-1]).nonzero()[0] + 1))
+    bounds, e0 = [], math.nan
+    for i, v in zip(first.tolist(), e[first].tolist()):
+        if not bounds or v - e0 > tol * max(1.0, abs(e0)):
+            bounds.append(i)
+            e0 = v
+    return bounds + [len(e)]
 
 
 def window_top(energies, e_max: float, tol: float) -> float:
-    """The highest of ``energies`` inside the window up to e_max, or -inf.
+    """Highest of the sorted ``energies`` in the window up to e_max, or -inf.
 
-    The package's one window rule: a degenerate run of the distinct
-    energies (``group_by_energy``) is kept whole when its lowest member
-    lies within ``energy_cutoff(e_max, tol)``, so rounding never splits
-    a multiplet at the edge.  ``energies`` must hold every value up to
-    the highest a kept run can reach, ``energy_cutoff`` applied twice.
+    The package's one window rule: a degenerate run (``energy_runs``)
+    is kept whole when its lowest member lies within
+    ``energy_cutoff(e_max, tol)``, so rounding never splits a multiplet
+    at the edge.  ``energies`` must hold every value up to the highest
+    a kept run can reach, ``energy_cutoff`` applied twice.
     """
-    cut, top = energy_cutoff(e_max, tol), -math.inf
-    for run in group_by_energy(((e, None) for e in np.unique(energies).tolist()),
-                               tol):
-        if run[0][0] > cut:
-            break
-        top = run[-1][0]
-    return top
+    e = np.asarray(energies, dtype=float)
+    bounds = energy_runs(e, tol)
+    kept = np.searchsorted(e[bounds[:-1]], energy_cutoff(e_max, tol), "right")
+    return float(e[bounds[kept] - 1]) if kept else -math.inf
 
 
 def _triples(sigma1, e_max: float, tol: float, *, distinct: bool):
-    """Sorted (energy, (i, j, k)) of the one-body triples in the window.
+    """Columns (energy, ijk) of the one-body triples in the window.
 
-    The one enumerator of composed spectra: i <= j <= k, or i < j < k
-    when ``distinct``, at energy eps_i + eps_j + eps_k, cut by
-    ``window_top``.  Raises TruncationRisk unless the lowest triple
-    holding the top one-body level lies beyond the window's reach, so
-    no triple inside the window is lost to the one-body cutoff.
+    The one enumerator of composed spectra: rows (i, j, k), i <= j <= k
+    or i < j < k when ``distinct``, at energy (eps_i + eps_j) + eps_k,
+    sorted by energy, then ijk, and cut by ``window_top``.  Raises
+    TruncationRisk unless the lowest triple holding the top one-body
+    level lies beyond the window's reach, so no triple inside the
+    window is lost to the one-body cutoff.
     """
     eps, _ = _as_energies(sigma1)
     d = int(distinct)
     if len(eps) < 1 + 2 * d:
         raise TruncationRisk(
             f"one-body spectrum has fewer than {1 + 2 * d} levels")
-    eps, n = eps.tolist(), len(eps)
     if eps[0] + eps[d] + eps[2 * d] > energy_cutoff(e_max, tol):
-        return []
+        return np.zeros(0), np.zeros((0, 3), dtype=int)
     reach = energy_cutoff(energy_cutoff(e_max, tol), tol)
     shallow = eps[0] + eps[d] + eps[-1]
     if shallow <= reach:
@@ -126,48 +125,55 @@ def _triples(sigma1, e_max: float, tol: float, *, distinct: bool):
             f"one-body spectrum too shallow: the lowest triple with "
             f"eps_max, {shallow:.6g}, does not exceed the window edge "
             f"{reach:.6g} (e_max = {e_max:.6g})")
-    entries = []  # each break is at the lowest triple energy left
-    for i in range(n - 2 * d):
-        if eps[i] + eps[i + d] + eps[i + 2 * d] > reach:
-            break
-        for j in range(i + d, n - d):
-            if eps[i] + eps[j] + eps[j + d] > reach:
-                break
-            for k in range(j + d, n):
-                e = eps[i] + eps[j] + eps[k]
-                if e > reach:
-                    break
-                entries.append((e, (i, j, k)))
-    entries.sort()
-    top = window_top([e for e, _ in entries], e_max, tol)
-    return [t for t in entries if t[0] <= top]
+    # every index of a triple in reach: (eps_0 + eps_d) + eps_k <= reach
+    eps = eps[:np.count_nonzero(eps[0] + eps[d] + eps <= reach)]
+    # the pairs j >= i + d, as np.triu_indices(len(eps), d) gives them
+    n = np.arange(len(eps))
+    i, j = np.less_equal.outer(n + d, n).nonzero()
+    pair = eps[i] + eps[j]
+    # k runs from j + d to the end of pair + eps_k <= reach.  searchsorted
+    # finds that end up to rounding; the loop steps it past every k still
+    # in reach, and the window drops a k it overshoots (a sum past reach)
+    end = np.searchsorted(eps, reach - pair, "right")
+    padded = np.append(eps, np.inf)
+    while (step := pair + padded[end] <= reach).any():
+        end += step
+    count = np.maximum(end - (j + d), 0)
+    i, j, pair = (np.repeat(q, count) for q in (i, j, pair))
+    k = np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count) + j + d
+    e = pair + eps[k]
+    order = np.lexsort((k, j, i, e))
+    e, ijk = e[order], np.stack([i, j, k], axis=1)[order]
+    keep = np.searchsorted(e, window_top(e, e_max, tol), "right")
+    return e[:keep], ijk[:keep]
 
 
 def compose_spectrum(sigma1, e_max: float, tol_group: float | None = None):
     """All three-particle levels with energy <= e_max.
 
     Enumerates multisets n1 <= n2 <= n3 over the one-body spectrum
-    (``_triples``), groups them by energy (``group_by_energy``) and
-    classifies each group.  The window is the package's one rule
-    (``window_top``): a level whose lowest multiset lies within
-    ``energy_cutoff(e_max, tol_group)`` is kept whole.  Raises
-    TruncationRisk when the one-body spectrum is too shallow to exhaust
-    the window.
+    (``_triples``, as columns), splits their energy column into runs
+    (``energy_runs``) and classifies each run into one ``SpectrumLevel``.
+    The window is the package's one rule (``window_top``): a level whose
+    lowest multiset lies within ``energy_cutoff(e_max, tol_group)`` is
+    kept whole.  Raises TruncationRisk when the one-body spectrum is too
+    shallow to exhaust the window.
     """
     if tol_group is None:
         tol_group = default_group_tolerance(sigma1)
-    levels = []
-    for group in group_by_energy(
-            _triples(sigma1, e_max, tol_group, distinct=False), tol_group):
-        classes = tuple(multiset_class(ms) for _, ms in group)
-        levels.append(SpectrumLevel(
-            energy=float(np.mean([e for e, _ in group])),
-            degeneracy=sum(CLASS_SIZE[c] for c in classes),
-            multisets=tuple(ms for _, ms in group),
-            classes=classes,
-            accidental=len(group) > 1,
-        ))
-    return levels
+    e, ijk = _triples(sigma1, e_max, tol_group, distinct=False)
+    tag = (ijk[:, 0] != ijk[:, 1]).astype(int) + (ijk[:, 1] != ijk[:, 2])
+    classes = [CLASS_NAMES[t] for t in tag.tolist()]
+    states = [0, *np.cumsum(_CLASS_STATES[tag]).tolist()]
+    multisets = list(zip(*ijk.T.tolist()))
+    bounds = energy_runs(e, tol_group)
+    # np.add.reduce(x) / len(x) is x.mean(), bit for bit, without its wrapper
+    return [SpectrumLevel(energy=float(np.add.reduce(e[a:b]) / (b - a)),
+                          degeneracy=states[b] - states[a],
+                          multisets=tuple(multisets[a:b]),
+                          classes=tuple(classes[a:b]),
+                          accidental=b - a > 1)
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def detect_accidental(levels):
@@ -200,6 +206,6 @@ def levels_to_csv(levels) -> str:
     """Columns: E, degeneracy, class_list, accidental."""
     return _csv_text(["E", "degeneracy", "class_list", "accidental"], (
         [repr(lv.energy), lv.degeneracy,
-         ";".join(f"{'+'.join(map(str, ms))}:{c}"
-                  for ms, c in zip(lv.multisets, lv.classes)),
+         ";".join(f"{i}+{j}+{k}:{c}"
+                  for (i, j, k), c in zip(lv.multisets, lv.classes)),
          int(lv.accidental)] for lv in levels))

@@ -22,7 +22,7 @@ pick the derived radical over the printed one:
   six-dimensional ordering-sector degeneracy space.
 
 Every spectrum here is cut by the package's one energy window,
-``composition.window_top``, as ``compose_spectrum`` is.
+``composition.window_top``, and returned as one ``LevelColumns`` record.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .composition import (
     _triples,
     default_group_tolerance,
     energy_cutoff,
-    group_by_energy,
+    energy_runs,
     window_top,
 )
 from .errors import GridResolutionTooCoarse
@@ -49,19 +49,27 @@ from .jacobi import PERMUTATIONS as SECTOR_ORDER, perm_sign
 from .onebody import OneBodySpectrum
 
 
-@dataclass(frozen=True)
-class SilverLevel:
-    """One level of a cylindrically separable model.
+@dataclass(frozen=True, eq=False)
+class LevelColumns:
+    """A closed-form spectrum as columns, sorted by energy, then labels.
 
-    eta labels the center-of-mass mode, nu the radial mode and mu the
-    angular momentum; mu is restricted to multiples of 3 for the
-    Calogero-Moser model.
+    Row r is the level at ``energy[r]`` with the quantum numbers
+    ``labels[r]`` named by ``names``: (eta, nu, mu), the center-of-mass,
+    radial and angular ones, or the unitary-contact base (n1, n2, n3).
+    ``len`` is the level count; ``==`` compares every column exactly.
     """
 
-    eta: int
-    nu: int
-    mu: int
-    energy: float
+    names: tuple
+    labels: np.ndarray  # (levels, 3) ints
+    energy: np.ndarray  # (levels,) floats
+
+    def __len__(self):
+        return len(self.energy)
+
+    def __eq__(self, other):
+        return (isinstance(other, LevelColumns) and self.names == other.names
+                and np.array_equal(self.labels, other.labels)
+                and np.array_equal(self.energy, other.energy))
 
 
 def relative_frequency(omega: float, gamma: float, mass: float = 1.0) -> float:
@@ -76,8 +84,9 @@ def _cylindrical_levels(energy, mu_step: int, e_max: float):
     is the model's level energy at amu = |mu|, a multiple of
     ``mu_step``, and grows in each quantum number.  It is evaluated on
     numpy index arrays over a box that holds every level a kept run
-    can reach; the window is ``window_top`` at GROUP_TOLERANCE.  Levels
-    are sorted by energy, then (eta, nu, mu).
+    can reach; the window is ``window_top`` at GROUP_TOLERANCE.  Returns
+    the ``LevelColumns`` of (eta, nu, mu), sorted by energy, then
+    (eta, nu, mu).
     """
     reach = energy_cutoff(energy_cutoff(e_max, GROUP_TOLERANCE),
                           GROUP_TOLERANCE)
@@ -88,15 +97,15 @@ def _cylindrical_levels(energy, mu_step: int, e_max: float):
              for unit in np.diag((1, 1, mu_step))]
     eta, nu, j = np.ix_(*map(np.arange, sizes))
     e = energy(eta, nu, mu_step * j)
-    eta, nu, j = np.nonzero(e <= window_top(e[e <= reach], e_max,
+    eta, nu, j = np.nonzero(e <= window_top(np.sort(e[e <= reach]), e_max,
                                             GROUP_TOLERANCE))
     e, amu = e[eta, nu, j], mu_step * j
     signed = amu > 0  # the -|mu| copies
     eta, nu, e = (np.concatenate([q, q[signed]]) for q in (eta, nu, e))
     mu = np.concatenate([amu, -amu[signed]])
     order = np.lexsort((mu, nu, eta, e))
-    return list(map(SilverLevel, eta[order].tolist(), nu[order].tolist(),
-                    mu[order].tolist(), e[order].tolist()))
+    return LevelColumns(("eta", "nu", "mu"),
+                        np.stack([eta, nu, mu], axis=1)[order], e[order])
 
 
 def harm_harm_spectrum(omega: float, gamma: float, e_max: float, *,
@@ -106,8 +115,8 @@ def harm_harm_spectrum(omega: float, gamma: float, e_max: float, *,
     mu runs over all signed integers.  The window is the package's one
     rule (``composition.window_top`` at GROUP_TOLERANCE): a level
     within the grouping tolerance of e_max is kept, with its whole
-    degenerate multiplet.  Levels are returned sorted by energy, then
-    (eta, nu, mu).
+    degenerate multiplet.  Returns the ``LevelColumns`` of (eta, nu, mu),
+    sorted by energy, then (eta, nu, mu).
     """
     w_rel = relative_frequency(omega, gamma, mass)
     e_com0 = 0.5 * hbar * omega
@@ -148,13 +157,6 @@ def calogero_moser_spectrum(omega: float, gamma: float, e_max: float, *,
 # unitary contact limit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContactLevel:
-    energy: float
-    base: tuple  # (n1 < n2 < n3)
-    degeneracy: int  # always 6: one copy per ordering sector
-
-
 def fermionic_amplitudes() -> np.ndarray:
     """Sector pattern reproducing the global free-fermion eigenfunction."""
     return np.array([perm_sign(s) for s in SECTOR_ORDER]) / math.sqrt(6.0)
@@ -173,10 +175,12 @@ def unitary_contact_spectrum(sigma1: OneBodySpectrum, e_max: float):
     enumerator of ``compose_spectrum``, with its window (the package's
     one rule, ``composition.window_top``) and its TruncationRisk check,
     so triples degenerate in exact arithmetic are never split by
-    rounding at the edge.  Levels are sorted by energy, then base.
+    rounding at the edge.  Returns the ``LevelColumns`` of the base
+    triples (n1, n2, n3), sorted by energy, then base.
     """
-    return [ContactLevel(e, base, 6) for e, base in _triples(
-        sigma1, e_max, default_group_tolerance(sigma1), distinct=True)]
+    e, base = _triples(sigma1, e_max, default_group_tolerance(sigma1),
+                       distinct=True)
+    return LevelColumns(("n1", "n2", "n3"), base, e)
 
 
 def girardeau_wavefunction(base, amplitudes, orbitals: np.ndarray,
@@ -316,24 +320,29 @@ def fit_cm_exponent(omega: float, gamma: float, *, mass: float = 1.0,
 # exports
 # ---------------------------------------------------------------------------
 
-def silver_levels_to_csv(model: str, levels) -> str:
+def _columns_csv(model: str, levels: LevelColumns, degeneracy) -> str:
+    """Columns: model, the three labels, energy, degeneracy.  Each
+    distinct energy is formatted once."""
+    new = np.diff(levels.energy, prepend=np.nan) != 0
+    text = np.array(list(map(repr, levels.energy[new].tolist())), dtype=object)
+    return _csv_text(["model", *levels.names, "energy", "degeneracy"], zip(
+        itertools.repeat(model), *levels.labels.T.tolist(),
+        text[np.cumsum(new) - 1].tolist(), degeneracy))
+
+
+def silver_levels_to_csv(model: str, levels: LevelColumns) -> str:
     """Columns: model, eta, nu, mu, energy, degeneracy.
 
     A level's degeneracy is the size of its degenerate run
-    (``composition.group_by_energy`` at GROUP_TOLERANCE) within the list.
+    (``composition.energy_runs`` at GROUP_TOLERANCE) within the record.
     """
-    size = {}
-    for run in group_by_energy(sorted(
-            (lv.energy, i) for i, lv in enumerate(levels)), GROUP_TOLERANCE):
-        size.update((i, len(run)) for _, i in run)
-    return _csv_text(["model", "eta", "nu", "mu", "energy", "degeneracy"], (
-        [model, lv.eta, lv.nu, lv.mu, repr(lv.energy), size[i]]
-        for i, lv in enumerate(levels)))
+    runs = np.diff(energy_runs(levels.energy, GROUP_TOLERANCE))
+    return _columns_csv(model, levels, np.repeat(runs, runs).tolist())
 
 
-def contact_levels_to_csv(levels) -> str:
-    """Columns: model, n1, n2, n3, energy, degeneracy."""
-    return _csv_text(["model", "n1", "n2", "n3", "energy", "degeneracy"], (
-        ["unitary_contact", *lv.base, repr(lv.energy), lv.degeneracy]
-        for lv in levels))
+def contact_levels_to_csv(levels: LevelColumns) -> str:
+    """Columns: model, n1, n2, n3, energy, degeneracy.
 
+    Every level is six-fold degenerate: one copy per ordering sector.
+    """
+    return _columns_csv("unitary_contact", levels, itertools.repeat(6))

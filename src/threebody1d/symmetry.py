@@ -15,7 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .composition import GROUP_TOLERANCE, group_by_energy
+from .composition import GROUP_TOLERANCE, energy_runs
 from .errors import NonIntegerMultiplicity, NonInvariantSubspace
 from .jacobi import (
     PERMUTATIONS,
@@ -247,10 +247,12 @@ def irrep_towers(decompositions):
     """
     towers: dict[str, list] = {}
     ordered = sorted(decompositions, key=lambda t: t[0])
-    for group in group_by_energy(ordered, GROUP_TOLERANCE):
-        energy = float(np.mean([e for e, _ in group]))
-        for label in group[0][1]:
-            m = sum(mult[label] for _, mult in group)
+    energies = [e for e, _ in ordered]
+    bounds = energy_runs(energies, GROUP_TOLERANCE)
+    for a, b in zip(bounds, bounds[1:]):
+        energy = float(np.mean(energies[a:b]))
+        for label in ordered[a][1]:
+            m = sum(mult[label] for _, mult in ordered[a:b])
             if m > 0:
                 towers.setdefault(label, []).append((energy, m))
     return towers

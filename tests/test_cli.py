@@ -4,8 +4,9 @@ Table outputs are compared byte for byte with the files under
 ``tests/golden/``; ``manifest.json`` is left out because it records the
 wall time.  The golden files hold exactly what the commands below write
 for the four configs in ``CONFIGS`` (harmonic trap, omega = 1) at
-emax 12, and for the benchmark's large ``irreps`` window (noninteracting,
-emax 30).
+emax 12, for the benchmark's large ``irreps`` window (noninteracting,
+emax 30), and for ``spectrum`` at a 30-quanta window of the same configs
+at omega = 1.05, where the one-body energies are inexact floats.
 """
 
 import contextlib
@@ -34,14 +35,18 @@ CONFIGS = {
 }
 
 
-@pytest.fixture(scope="module")
-def configs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("configs")
+def write_configs(root, omega="1.0"):
     paths = {}
     for model, text in CONFIGS.items():
         paths[model] = root / f"{model}.cfg"
+        text = text.replace("omega = 1.0", f"omega = {omega}")
         paths[model].write_text(text, encoding="utf-8")
     return paths
+
+
+@pytest.fixture(scope="module")
+def configs(tmp_path_factory):
+    return write_configs(tmp_path_factory.mktemp("configs"))
 
 
 def run(*argv):
@@ -82,6 +87,14 @@ def test_irreps_match_golden_and_rerun(model, configs, tmp_path):
     assert first == again
     for name, data in first.items():
         assert data == golden(f"irreps-{model}-{name}")
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_spectrum_30_quanta_matches_golden(model, tmp_path):
+    config = write_configs(tmp_path, omega="1.05")[model]
+    outputs = table_outputs("spectrum", config, model, tmp_path / "out",
+                            emax="31.5")
+    assert outputs["levels.csv"] == golden(f"spectrum-{model}-30.csv")
 
 
 def test_irreps_large_window_matches_golden(configs, tmp_path):
@@ -147,6 +160,22 @@ def test_verify_oracle_on_contact_exits_2(gamma, tmp_path):
                          "--out", str(tmp_path / "out")])
     assert code == 2
     assert "no oracle for a contact interaction" in err.getvalue()
+    assert not (tmp_path / "out").exists()
+
+
+def test_calogero_at_zero_gamma_exits_2(tmp_path):
+    # gamma = 0 passes the config's gamma >= 0 rule, but the Calogero-Moser
+    # closed form needs gamma > 0; before, its ValueError escaped main
+    path = tmp_path / "calogero.cfg"
+    path.write_text(TRAP + "interaction.kind = inverse_square\n"
+                           "interaction.gamma = 0.0\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["spectrum", "--config", str(path), "--model",
+                         "calogero", "--emax", EMAX, "--out",
+                         str(tmp_path / "out")])
+    assert code == 2
+    assert "interaction.gamma > 0" in err.getvalue()
     assert not (tmp_path / "out").exists()
 
 

@@ -8,14 +8,61 @@ from hypothesis import strategies as st
 
 from threebody1d.composition import (
     CLASS_SIZE,
+    _triples,
     compose_spectrum,
     detect_accidental,
+    energy_cutoff,
+    energy_runs,
     levels_to_csv,
     multiset_class,
 )
 from threebody1d.errors import TruncationRisk
 from threebody1d.models import HarmonicTrap, InfiniteWell
 from threebody1d.onebody import analytic_spectrum
+
+
+def loop_window_top(energies, e_max, tol):
+    """Reference window rule: runs of the distinct energies, each kept
+    whole when its lowest member is within the widened edge."""
+    cut, top, e0 = e_max + tol * max(1.0, abs(e_max)), -math.inf, None
+    for e in sorted(set(energies)):
+        if e0 is None or e - e0 > tol * max(1.0, abs(e0)):
+            if e > cut:
+                break
+            e0 = e
+        top = e
+    return top
+
+
+def loop_triples(eps, e_max, tol, distinct):
+    """Reference enumerator: nested loops over i <= j <= k (i < j < k when
+    ``distinct``), each cut where (eps_i + eps_j) + eps_k first passes
+    the window's reach, then sorted and cut by the window rule."""
+    eps = [float(x) for x in eps]
+    d, n = int(distinct), len(eps)
+    if n < 1 + 2 * d:
+        raise TruncationRisk("too few one-body levels")
+    cut = e_max + tol * max(1.0, abs(e_max))
+    if eps[0] + eps[d] + eps[2 * d] > cut:
+        return []
+    reach = cut + tol * max(1.0, abs(cut))
+    if eps[0] + eps[d] + eps[-1] <= reach:
+        raise TruncationRisk("one-body spectrum too shallow")
+    entries = []
+    for i in range(n - 2 * d):
+        if eps[i] + eps[i + d] + eps[i + 2 * d] > reach:
+            break
+        for j in range(i + d, n - d):
+            if eps[i] + eps[j] + eps[j + d] > reach:
+                break
+            for k in range(j + d, n):
+                e = eps[i] + eps[j] + eps[k]
+                if e > reach:
+                    break
+                entries.append((e, (i, j, k)))
+    entries.sort()
+    top = loop_window_top([e for e, _ in entries], e_max, tol)
+    return [t for t in entries if t[0] <= top]
 
 
 def brute_force_ordered_triples(eps, e_max):
@@ -164,3 +211,67 @@ def test_csv_export(harmonic_sigma1):
     assert lines[0] == "E,degeneracy,class_list,accidental"
     assert lines[1] == "1.5,1,0+0+0:nondegenerate,0"
     assert lines[3].endswith(",1")  # accidental level
+
+
+# one-body gaps: ordinary ones, and ones at or below the grouping widths
+GAPS = st.one_of(st.floats(0.05, 3.0), st.sampled_from(
+    [0.0, 1e-15, 1e-12, 4e-10, 1e-9, 3e-7, 1e-6]))
+
+
+@given(eps0=st.floats(0.01, 2.0), gaps=st.lists(GAPS, max_size=14),
+       distinct=st.booleans(), tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+       edge=st.tuples(*[st.integers(0, 20)] * 3),
+       shift=st.sampled_from([-2.0, -1.0, -0.3, 0.0, 0.3, 1.0, 2.0, 1e3]))
+# fewer one-body levels than a distinct triple needs
+@example(eps0=0.5, gaps=[1.0], distinct=True, tol=1e-9, edge=(0, 0, 0),
+         shift=0.0)
+# a window reaching past the top one-body level
+@example(eps0=0.5, gaps=[1.0, 1.0, 1.0], distinct=False, tol=1e-9,
+         edge=(3, 3, 3), shift=0.0)
+# index triples tied at one float energy, ordered by i before j
+@example(eps0=1.1052707323049993, gaps=[
+    1e-12, 1e-06, 1e-15, 1e-12, 2.693229348671444, 0.36826595508851584,
+    1.5504902254159303, 1e-12, 1e-09, 2.147285143935831, 1e-15, 1e-12, 4e-10],
+    distinct=False, tol=1e-06, edge=(2, 2, 5), shift=0.3)
+@settings(max_examples=300, deadline=None)
+def test_triples_equal_loop_reference(eps0, gaps, distinct, tol, edge, shift):
+    """The numpy enumerator returns the loop enumerator's triples: the
+    same index triples in the same order, at bit-equal energies, or the
+    same TruncationRisk."""
+    eps = np.cumsum([eps0, *gaps])
+    # e_max at, or a few grouping widths from, a triple energy
+    a, b, c = (min(q, len(eps) - 1) for q in edge)
+    e_max = (eps[a] + eps[b] + eps[c]) * (1 + shift * tol)
+    try:
+        ref = loop_triples(eps, e_max, tol, distinct)
+    except TruncationRisk:
+        with pytest.raises(TruncationRisk):
+            _triples(eps, e_max, tol, distinct=distinct)
+        return
+    e, ijk = _triples(eps, e_max, tol, distinct=distinct)
+    assert e.tolist() == [x for x, _ in ref]
+    assert list(map(tuple, ijk.tolist())) == [t for _, t in ref]
+
+
+def test_triples_keep_the_sum_that_rounds_onto_the_reach():
+    # the cut falls on (0,0,0) and the reach on (0,0,1), one grouping
+    # width above it, so (0,0,1) is kept; but reach - (eps_0 + eps_0)
+    # rounds below eps_1, so a search on that difference alone drops it
+    eps = np.array([0.4716536944319778, 0.4716551093930611,
+                    0.4716607692373943, 4.7165369443197775, 5.188190638751756])
+    e_max, tol = 1.414959668336265, 1e-6
+    reach = energy_cutoff(energy_cutoff(e_max, tol), tol)
+    assert reach == eps[0] + eps[0] + eps[1]
+    assert reach - (eps[0] + eps[0]) < eps[1]
+    e, ijk = _triples(eps, e_max, tol, distinct=False)
+    assert ijk.tolist() == [[0, 0, 0], [0, 0, 1]]
+    assert e.tolist() == [x for x, _ in loop_triples(eps, e_max, tol, False)]
+
+
+def test_energy_runs_hold_what_lies_within_the_width_of_their_start():
+    # a run holds every energy within tol * max(1, |E0|) of its first, E0
+    assert energy_runs([], 1e-9) == [0]
+    assert energy_runs([1.0, 1.0 + 2**-20, 1.0 + 2**-19], 2**-20) == [0, 2, 3]
+    # below 1 the width is tol itself
+    assert energy_runs([0.5, 0.5 + 0.75e-9, 0.5 + 1.5e-9], 1e-9) == [0, 2, 3]
+    assert energy_runs([3.0, 3.0, 3.0 + 2e-9, 4.0, 4.0], 1e-9) == [0, 3, 5]

@@ -16,7 +16,7 @@ from threebody1d.grids import Grid1D, PolarGrid
 from threebody1d.models import HarmonicTrap
 from threebody1d.onebody import analytic_spectrum, grid_orbitals_1d
 from threebody1d.solvable import (
-    SilverLevel,
+    LevelColumns,
     bosonic_amplitudes,
     calogero_moser_spectrum,
     cm_angular_exponent,
@@ -34,9 +34,21 @@ from threebody1d.solvable import (
 
 def group_energies(levels, tol=1e-9):
     counts = Counter()
-    for lv in levels:
-        counts[round(lv.energy / tol) * tol] += 1
+    for e in levels.energy.tolist():
+        counts[round(e / tol) * tol] += 1
     return dict(sorted(counts.items()))
+
+
+def rows(levels):
+    """(label, label, label, energy) tuples, one per row of a LevelColumns."""
+    return list(zip(*levels.labels.T.tolist(), levels.energy.tolist()))
+
+
+def head(levels, n):
+    """The first n levels of a spectrum, columnar or a list."""
+    if isinstance(levels, LevelColumns):
+        return LevelColumns(levels.names, levels.labels[:n], levels.energy[:n])
+    return levels[:n]
 
 
 class TestHarmHarm:
@@ -51,10 +63,10 @@ class TestHarmHarm:
 
     def test_relative_shell_degeneracy(self):
         # 2 nu + |mu| = 2 admits (1, 0) and (0, +-2)
-        levels = [l for l in harm_harm_spectrum(1.0, 0.0, 3.6)
-                  if l.eta == 0 and 2 * l.nu + abs(l.mu) == 2]
+        levels = [(nu, mu) for eta, nu, mu, _ in rows(harm_harm_spectrum(
+            1.0, 0.0, 3.6)) if eta == 0 and 2 * nu + abs(mu) == 2]
         assert len(levels) == 3
-        assert {(l.nu, l.mu) for l in levels} == {(1, 0), (0, 2), (0, -2)}
+        assert set(levels) == {(1, 0), (0, 2), (0, -2)}
 
     def test_relative_frequency_values(self):
         assert relative_frequency(1.0, 0.0) == 1.0
@@ -63,15 +75,15 @@ class TestHarmHarm:
             math.sqrt(4.0 + 3.0))
 
     def test_signed_mu(self):
-        levels = harm_harm_spectrum(1.0, 0.25, 5.0)
-        assert any(l.mu < 0 for l in levels)
-        assert any(l.mu > 0 for l in levels)
+        mu = harm_harm_spectrum(1.0, 0.25, 5.0).labels[:, 2]
+        assert (mu < 0).any()
+        assert (mu > 0).any()
 
     def test_units_rescaling(self):
         m, hb, w, gn = 2.0, 3.0, 1.7, 0.4
-        nat = [l.energy for l in harm_harm_spectrum(1.0, gn, 6.0)]
-        exp = [l.energy for l in harm_harm_spectrum(
-            w, gn * m * w**2, 6.0 * hb * w, mass=m, hbar=hb)]
+        nat = harm_harm_spectrum(1.0, gn, 6.0).energy
+        exp = harm_harm_spectrum(
+            w, gn * m * w**2, 6.0 * hb * w, mass=m, hbar=hb).energy
         assert np.allclose(exp, hb * w * np.array(nat), rtol=1e-12)
 
     def test_fit_protocol_prefers_derived_radical(self):
@@ -90,33 +102,33 @@ class TestCalogeroMoser:
 
     def test_ground_energy(self):
         levels = calogero_moser_spectrum(1.0, 1.0, 8.0)
-        assert levels[0].energy == pytest.approx(1.5 * (2 + math.sqrt(5)))
-        assert (levels[0].eta, levels[0].nu, levels[0].mu) == (0, 0, 0)
+        assert levels.energy[0] == pytest.approx(1.5 * (2 + math.sqrt(5)))
+        assert levels.labels[0].tolist() == [0, 0, 0]
 
     def test_fermionized_limit(self):
         # gamma -> 0+ reproduces the hard-wall (Tonks-Girardeau) ground energy
         levels = calogero_moser_spectrum(1.0, 1e-12, 6.0)
-        assert levels[0].energy == pytest.approx(4.5, abs=1e-5)
+        assert levels.energy[0] == pytest.approx(4.5, abs=1e-5)
 
     def test_radial_spacing_two_quanta(self):
         levels = calogero_moser_spectrum(1.0, 1.0, 14.0)
-        by_qn = {(l.eta, l.nu, l.mu): l.energy for l in levels}
+        by_qn = {(eta, nu, mu): e for eta, nu, mu, e in rows(levels)}
         for (eta, nu, mu), e in by_qn.items():
             nxt = by_qn.get((eta, nu + 1, mu))
             if nxt is not None:
                 assert nxt - e == pytest.approx(2.0, abs=1e-12)
 
     def test_mu_multiples_of_three(self):
-        levels = calogero_moser_spectrum(1.0, 1.0, 14.0)
-        assert all(l.mu % 3 == 0 for l in levels)
-        nonzero = sorted({abs(l.mu) for l in levels if l.mu != 0})
+        mu = calogero_moser_spectrum(1.0, 1.0, 14.0).labels[:, 2].tolist()
+        assert all(m % 3 == 0 for m in mu)
+        nonzero = sorted({abs(m) for m in mu if m != 0})
         assert nonzero[0] == 3
 
     def test_units_rescaling(self):
         m, hb, w, gn = 0.5, 2.0, 1.3, 0.7
-        nat = [l.energy for l in calogero_moser_spectrum(1.0, gn, 9.0)]
-        exp = [l.energy for l in calogero_moser_spectrum(
-            w, gn * hb**2 / m, 9.0 * hb * w, mass=m, hbar=hb)]
+        nat = calogero_moser_spectrum(1.0, gn, 9.0).energy
+        exp = calogero_moser_spectrum(
+            w, gn * hb**2 / m, 9.0 * hb * w, mass=m, hbar=hb).energy
         assert np.allclose(exp, hb * w * np.array(nat), rtol=1e-12)
 
     def test_fit_protocol_prefers_derived_radical(self):
@@ -133,16 +145,19 @@ class TestCalogeroMoser:
 class TestUnitaryContact:
     def test_ground_is_fermionic_filling(self, harmonic_sigma1):
         levels = unitary_contact_spectrum(harmonic_sigma1, 7.0)
-        assert levels[0].energy == pytest.approx(4.5)
-        assert levels[0].base == (0, 1, 2)
+        assert levels.names == ("n1", "n2", "n3")
+        assert levels.energy[0] == pytest.approx(4.5)
+        assert levels.labels[0].tolist() == [0, 1, 2]
 
     def test_every_level_sixfold(self, harmonic_sigma1):
         levels = unitary_contact_spectrum(harmonic_sigma1, 9.0)
-        assert all(lv.degeneracy == 6 for lv in levels)
+        lines = contact_levels_to_csv(levels).splitlines()[1:]
+        assert len(lines) == len(levels) > 0
+        assert all(line.endswith(",6") for line in lines)
 
     def test_energies_subset_of_composition(self, harmonic_sigma1):
-        contact = {round(lv.energy, 9)
-                   for lv in unitary_contact_spectrum(harmonic_sigma1, 8.6)}
+        contact = {round(e, 9) for e in unitary_contact_spectrum(
+            harmonic_sigma1, 8.6).energy.tolist()}
         composed = {round(lv.energy, 9)
                     for lv in compose_spectrum(harmonic_sigma1, 8.6)}
         assert contact <= composed
@@ -154,7 +169,8 @@ class TestUnitaryContact:
         eps = sigma1.energies
         assert eps[0] + eps[1] + eps[4] < 1.95 < eps[0] + eps[2] + eps[3]
         levels = unitary_contact_spectrum(sigma1, 1.95)
-        top = [lv.base for lv in levels if abs(lv.energy - 1.95) < 1e-9]
+        top = [(n1, n2, n3) for n1, n2, n3, e in rows(levels)
+               if abs(e - 1.95) < 1e-9]
         assert top == [(0, 1, 4), (0, 2, 3)]
         assert len(levels) == 4  # base index sums 3, 4, 5 and 5
 
@@ -242,9 +258,9 @@ def test_csv_and_json_exports(harmonic_sigma1):
 
 def test_csv_degeneracy_counts_runs_not_rounding_buckets():
     # 2e-13 apart, but on either side of a 9-decimal rounding boundary
-    levels = [SilverLevel(0, 0, 0, 1.0000000004999),
-              SilverLevel(1, 0, 0, 1.0000000005001),
-              SilverLevel(0, 1, 0, 3.0)]
+    levels = LevelColumns(("eta", "nu", "mu"),
+                          np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]]),
+                          np.array([1.0000000004999, 1.0000000005001, 3.0]))
     rows = silver_levels_to_csv("harm_harm", levels).splitlines()[1:]
     assert [r.rsplit(",", 1)[1] for r in rows] == ["2", "2", "1"]
 
@@ -253,17 +269,20 @@ def _one_body(omega):
     return analytic_spectrum(HarmonicTrap(omega), 40)
 
 
-# spectrum(omega, gamma, e_max) and the lowest member energy of a level
+# spectrum(omega, gamma, e_max) and the lowest member energy of each level
 SPECTRA = {
-    "harm_harm": (harm_harm_spectrum, lambda lv, eps: lv.energy),
-    "calogero_moser": (calogero_moser_spectrum, lambda lv, eps: lv.energy),
+    "harm_harm": (harm_harm_spectrum,
+                  lambda levels, eps: levels.energy.tolist()),
+    "calogero_moser": (calogero_moser_spectrum,
+                       lambda levels, eps: levels.energy.tolist()),
     "noninteracting": (
         lambda w, g, e_max: compose_spectrum(_one_body(w), e_max),
-        lambda lv, eps: min(eps[i] + eps[j] + eps[k]
-                            for i, j, k in lv.multisets)),
+        lambda levels, eps: [min(eps[i] + eps[j] + eps[k]
+                                 for i, j, k in lv.multisets)
+                             for lv in levels]),
     "unitary_contact": (
         lambda w, g, e_max: unitary_contact_spectrum(_one_body(w), e_max),
-        lambda lv, eps: lv.energy),
+        lambda levels, eps: levels.energy.tolist()),
 }
 
 
@@ -275,9 +294,12 @@ def _loop_levels(energy, mu_step, e_max):
             for j in range(int(e_max) + 1):
                 e = energy(eta, nu, mu_step * j)
                 if e <= e_max:
-                    out += [SilverLevel(eta, nu, mu, e) for mu in sorted(
+                    out += [(e, eta, nu, mu) for mu in sorted(
                         {-mu_step * j, mu_step * j})]
-    return sorted(out, key=lambda l: (l.energy, l.eta, l.nu, l.mu))
+    out.sort()
+    return LevelColumns(("eta", "nu", "mu"),
+                        np.array([r[1:] for r in out]).reshape(-1, 3),
+                        np.array([r[0] for r in out]))
 
 
 @pytest.mark.parametrize("omega, gamma", [(1.0, 0.5), (0.83, 0.21), (1.21, 1.7)])
@@ -302,14 +324,14 @@ class TestWindow:
         # e_max equals a level energy; flooring (e_max - base) / omega
         # in quanta dropped that level's whole multiplet
         w, g, e_max = 1.1349896734588634, 1.0043112108304078, 20.83827543607893
-        wider = [lv for lv in calogero_moser_spectrum(w, g, e_max + 5.0)
-                 if lv.energy <= e_max]
-        assert len(wider) == 155
-        assert calogero_moser_spectrum(w, g, e_max) == wider
+        wider = calogero_moser_spectrum(w, g, e_max + 5.0)
+        n_in = int(np.count_nonzero(wider.energy <= e_max))
+        assert n_in == 155
+        assert calogero_moser_spectrum(w, g, e_max) == head(wider, n_in)
 
     def test_nan_window_is_empty(self):
-        assert harm_harm_spectrum(1.0, 0.5, math.nan) == []
-        assert calogero_moser_spectrum(1.0, 1.0, math.nan) == []
+        assert len(harm_harm_spectrum(1.0, 0.5, math.nan)) == 0
+        assert len(calogero_moser_spectrum(1.0, 1.0, math.nan)) == 0
 
     @given(model=st.sampled_from(sorted(SPECTRA)),
            omega=st.floats(0.5, 2.0), gamma=st.floats(0.01, 2.0),
@@ -326,13 +348,13 @@ class TestWindow:
         spectrum, lowest = SPECTRA[model]
         eps = _one_body(omega).energies.tolist()
         wide = spectrum(omega, gamma, 16 * omega)
-        lows = [lowest(lv, eps) for lv in wide]
+        lows = lowest(wide, eps)
         # e_max at, or a few grouping widths from, a level in the lower half
         e_at = lows[level % (len(lows) // 2 + 1)]
         e_max = e_at * (1 + shift * GROUP_TOLERANCE)
         cut = energy_cutoff(e_max, GROUP_TOLERANCE)
         levels = spectrum(omega, gamma, e_max)
-        assert levels == wide[:len(levels)]
+        assert levels == head(wide, len(levels))
         n_in = sum(1 for e in lows if e <= cut)
         assert len(levels) >= n_in
         for e in lows[n_in:len(levels)]:

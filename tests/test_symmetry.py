@@ -270,8 +270,8 @@ class TestTowers:
     def test_unitary_contact_towers(self, harmonic_sigma1):
         g = build_group("S3")
         mats = as_matrices(sector_permutation_rep()).astype(complex)
-        decomps = [(lv.energy, dense_decompose(g, mats))
-                   for lv in unitary_contact_spectrum(harmonic_sigma1, 7.6)]
+        energies = unitary_contact_spectrum(harmonic_sigma1, 7.6).energy
+        decomps = [(e, dense_decompose(g, mats)) for e in energies.tolist()]
         towers = irrep_towers(decomps)
         # Bose-Fermi degeneracy at unitarity
         assert towers["[3]"][0][0] == pytest.approx(4.5)
@@ -281,7 +281,7 @@ class TestTowers:
         g = build_group("S3")
         regular = decompose_eigenspace(g, sector_permutation_rep())
         levels = unitary_contact_spectrum(harmonic_sigma1, 12.0)
-        towers = irrep_towers([(lv.energy, regular) for lv in levels])
+        towers = irrep_towers([(e, regular) for e in levels.energy.tolist()])
         # E = 7.5 has the three bases (0,1,5), (0,2,4) and (1,2,3)
         assert (7.5, 3) in towers["[3]"] and (7.5, 6) in towers["[21]"]
         for rows in towers.values():
