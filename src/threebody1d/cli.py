@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 internal failure, 2 config error, 3 check
 failure.  Every output directory receives exactly one manifest.json;
 all other outputs are byte-identical across reruns with the same
 config and seed.
+
+``MODEL_KINDS`` is the one table of the models ``spectrum`` and
+``irreps`` take: each ``--model`` runs only on a config whose
+``interaction.kind`` it names (``parse_config`` gives the config format).
 """
 
 from __future__ import annotations
@@ -46,7 +50,10 @@ from .symmetry import (
     sector_permutation_rep,
 )
 
-MODELS = ("noninteracting", "harm-harm", "calogero", "unitary-contact")
+# --model -> the interaction.kind it needs in the config
+MODEL_KINDS = {"noninteracting": "none", "harm-harm": "harmonic",
+               "calogero": "inverse_square", "unitary-contact": "contact"}
+MODELS = tuple(MODEL_KINDS)
 CHECKS = ("oracle", "ladder", "invariants", "schmidt", "gold")
 # Widest energy window of ``spectrum`` and ``irreps``, in quanta of
 # hbar*omega.  The states in a window grow as the cube of its width: at
@@ -69,24 +76,6 @@ def _require_omega(spec):
     return spec.effective_omega()
 
 
-def _require_gamma(spec, kinds, model):
-    inter = spec.interaction
-    if inter.kind not in kinds:
-        raise ConfigError(
-            f"model {model!r} needs interaction.kind in {kinds}, "
-            f"got {inter.kind!r}")
-    if inter.kind == "none":
-        return None
-    if inter.kind == "contact":
-        if not inter.unitary:
-            raise ConfigError(
-                "model 'unitary-contact' needs interaction.gamma = unitary")
-        return None
-    if inter.gamma is None:
-        raise ConfigError(f"missing required key 'interaction.gamma' for {model!r}")
-    return inter.gamma
-
-
 def _check_window(spec, emax):
     """Refuse a window wider than MAX_WINDOW_QUANTA before enumerating it."""
     quanta = emax / (spec.hbar * _require_omega(spec))
@@ -105,35 +94,45 @@ def _one_body(spec, emax, floor):
         mass=spec.mass, hbar=spec.hbar)
 
 
+def _load_model(args, supported=MODELS):
+    """The config of a ``spectrum`` or ``irreps`` command, checked in
+    order: the window, the model the command supports, the interaction
+    kind the model needs (``MODEL_KINDS``), a unitary contact."""
+    spec = load_config(args.config)
+    _check_window(spec, args.emax)
+    if args.model not in supported:
+        raise ConfigError(f"{args.command} supports {' and '.join(supported)}, "
+                          f"got {args.model!r}")
+    kind, inter = MODEL_KINDS[args.model], spec.interaction
+    if inter.kind != kind:
+        raise ConfigError(f"model {args.model!r} needs interaction.kind in "
+                          f"{(kind,)}, got {inter.kind!r}")
+    if kind == "contact" and not inter.unitary:
+        raise ConfigError(
+            "model 'unitary-contact' needs interaction.gamma = unitary")
+    return spec
+
+
 def _spectrum_csv(spec, model, emax):
     if model == "noninteracting":
-        _require_gamma(spec, ("none",), model)
         return levels_to_csv(compose_spectrum(_one_body(spec, emax, 4), emax))
+    if model == "unitary-contact":
+        return contact_levels_to_csv(
+            unitary_contact_spectrum(_one_body(spec, emax, 8), emax))
+    omega, gamma = spec.effective_omega(), spec.interaction.gamma
     if model == "harm-harm":
-        omega = _require_omega(spec)
-        gamma = _require_gamma(spec, ("harmonic",), model)
         levels = harm_harm_spectrum(omega, gamma, emax, mass=spec.mass,
                                     hbar=spec.hbar)
         return silver_levels_to_csv("harm_harm", levels)
-    if model == "calogero":
-        omega = _require_omega(spec)
-        gamma = _require_gamma(spec, ("inverse_square",), model)
-        if not gamma > 0:
-            raise ConfigError(f"model {model!r} needs interaction.gamma > 0")
-        levels = calogero_moser_spectrum(omega, gamma, emax, mass=spec.mass,
-                                         hbar=spec.hbar)
-        return silver_levels_to_csv("calogero_moser", levels)
-    if model == "unitary-contact":
-        _require_omega(spec)
-        _require_gamma(spec, ("contact",), model)
-        return contact_levels_to_csv(
-            unitary_contact_spectrum(_one_body(spec, emax, 8), emax))
-    raise ConfigError(f"unknown model {model!r}")
+    if not gamma > 0:
+        raise ConfigError(f"model {model!r} needs interaction.gamma > 0")
+    levels = calogero_moser_spectrum(omega, gamma, emax, mass=spec.mass,
+                                     hbar=spec.hbar)
+    return silver_levels_to_csv("calogero_moser", levels)
 
 
 def cmd_spectrum(args) -> int:
-    spec = load_config(args.config)
-    _check_window(spec, args.emax)
+    spec = _load_model(args)
     csv_text = _spectrum_csv(spec, args.model, args.emax)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -142,24 +141,18 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_irreps(args) -> int:
-    spec = load_config(args.config)
-    _check_window(spec, args.emax)
-    decomps = []
+    spec = _load_model(args, ("noninteracting", "unitary-contact"))
     group = build_group("S3")
     if args.model == "unitary-contact":
-        _require_gamma(spec, ("contact",), args.model)
         # every level carries the same six-sector (regular) representation
         regular = decompose_eigenspace(group, sector_permutation_rep(group))
         decomps = [(e, regular) for e in unitary_contact_spectrum(
             _one_body(spec, args.emax, 8), args.emax).energy.tolist()]
-    elif args.model == "noninteracting":
-        _require_gamma(spec, ("none",), args.model)
+    else:
+        decomps = []
         for lv in compose_spectrum(_one_body(spec, args.emax, 4), args.emax):
             perm, _ = orbit_rep_for_multisets(lv.multisets, group)
             decomps.append((lv.energy, decompose_eigenspace(group, perm)))
-    else:
-        raise ConfigError(
-            f"irreps supports noninteracting and unitary-contact, got {args.model!r}")
     towers = irrep_towers(decomps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -318,10 +311,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code = args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NonIntegerMultiplicity as exc:

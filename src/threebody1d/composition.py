@@ -36,9 +36,6 @@ class SpectrumLevel:
     classes: tuple  # per-multiset class tags
     accidental: bool  # more than one multiset coincides here
 
-    def __post_init__(self):
-        assert self.degeneracy == sum(CLASS_SIZE[c] for c in self.classes)
-
 
 def _as_energies(sigma1):
     if isinstance(sigma1, OneBodySpectrum):

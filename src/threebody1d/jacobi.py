@@ -40,9 +40,6 @@ PERMUTATIONS = (
     (3, 2, 1),
 )
 
-TRANSPOSITIONS = ((2, 1, 3), (1, 3, 2), (3, 2, 1))
-THREE_CYCLES = ((2, 3, 1), (3, 1, 2))
-
 
 def perm_compose(p, q):
     """(p o q)(a) = p(q(a))."""

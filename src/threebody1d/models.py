@@ -169,15 +169,9 @@ class ModelSpec:
 
     @property
     def parity_symmetric_trap(self) -> bool:
-        t = self.trap
-        if t.kind in ("harmonic", "infinite_well", "none"):
-            return True
-        if t.kind == "quadratic":
-            # A shifted parabola is symmetric about its own vertex.
-            return True
-        if t.kind == "custom_tabulated":
-            return t.is_parity_symmetric()
-        return False
+        """Every trap but a tabulated one is parity-symmetric (a shifted
+        parabola about its own vertex)."""
+        return self.trap.kind != "custom_tabulated" or self.trap.is_parity_symmetric()
 
     @property
     def harmonic_like(self) -> bool:
@@ -217,34 +211,27 @@ def collect_violations(spec: ModelSpec) -> list[str]:
         vs = np.asarray(t.vs, dtype=float)
         if xs.ndim != 1 or xs.size < 4 or xs.size != vs.size:
             bad.append("MissingParameter: tabulated trap needs >= 4 (x, V) samples")
-        elif np.any(np.diff(xs) <= 0):
+        elif not np.all(np.diff(xs) > 0):
             bad.append("MissingParameter: tabulated trap abscissa must increase")
         else:
             # Confinement: the samples must rise toward both grid ends.
             if not (vs[-1] > vs[-2] and vs[0] > vs[1]):
                 bad.append("NonConfiningTrap: tabulated trap must increase toward both ends")
-    elif t.kind == "none":
-        pass
-    else:
+    elif t.kind != "none":
         bad.append(f"MissingParameter: unknown trap kind {t.kind!r}")
 
     v = spec.interaction
-    if v.kind in ("harmonic", "inverse_square"):
-        if v.gamma < 0:
-            bad.append(f"NegativeCoupling: {v.kind} interaction requires gamma >= 0")
-    elif v.kind == "contact":
-        if v.unitary:
-            if v.gamma is not None:
-                bad.append("MissingParameter: unitary contact must not carry a finite gamma")
-        else:
-            if v.gamma is None:
-                bad.append("MissingParameter: finite contact interaction requires gamma")
-            elif v.gamma < 0:
-                bad.append("NegativeCoupling: contact interaction requires gamma >= 0")
+    if v.kind == "contact" and v.unitary:
+        if v.gamma is not None:
+            bad.append("MissingParameter: unitary contact must not carry a finite gamma")
+    elif v.kind == "contact" and v.gamma is None:
+        bad.append("MissingParameter: finite contact interaction requires gamma")
+    elif v.kind in ("harmonic", "inverse_square", "contact") and not (v.gamma >= 0):
+        bad.append(f"NegativeCoupling: {v.kind} interaction requires gamma >= 0")
 
-    if spec.mass <= 0:
+    if not (spec.mass > 0):
         bad.append("MissingParameter: mass must be positive")
-    if spec.hbar <= 0:
+    if not (spec.hbar > 0):
         bad.append("MissingParameter: hbar must be positive")
     if spec.units.mode not in ("natural", "explicit"):
         bad.append(f"MissingParameter: unknown units mode {spec.units.mode!r}")
@@ -345,9 +332,6 @@ class SymmetryClassification:
     point_group: str  # C3v | D3d | D6h
     phase_space: str
 
-    def __str__(self):
-        return f"{self.label} (~{self.point_group})"
-
 
 def classify_symmetry_group(spec: ModelSpec) -> SymmetryClassification:
     """Minimal configuration-space symmetry group of the model.
@@ -371,17 +355,45 @@ def classify_symmetry_group(spec: ModelSpec) -> SymmetryClassification:
 # config files
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "trap.kind", "trap.omega", "trap.length", "trap.A", "trap.B", "trap.C",
-    "interaction.kind", "interaction.gamma", "units.mode", "mass", "hbar",
+# trap.kind -> (trap class, its number keys in field order, each with its
+# default; None marks a required key)
+_TRAPS = {
+    "harmonic": (HarmonicTrap, {"trap.omega": None}),
+    "infinite_well": (InfiniteWell, {"trap.length": None}),
+    "quadratic": (QuadraticTrap, {"trap.A": None, "trap.B": 0.0, "trap.C": 0.0}),
+    "none": (NoTrap, {}),
 }
+# interaction.kind -> interaction class; each but "none" needs gamma
+_INTERACTIONS = {"none": NoInteraction, "harmonic": HarmonicInteraction,
+                 "inverse_square": InverseSquareInteraction,
+                 "contact": ContactInteraction}
+_CONFIG_KEYS = {"trap.kind", "interaction.kind", "interaction.gamma",
+                "units.mode", "mass", "hbar",
+                *(k for _, keys in _TRAPS.values() for k in keys)}
 
 
 def parse_config(text: str) -> ModelSpec:
     """Parse the flat key=value config format into a validated ModelSpec.
 
     Lines are ``key = value``; blank lines and ``#`` comments are
-    skipped; unknown keys are errors (with their line number).
+    skipped; unknown and duplicate keys are errors (with their line
+    number).  The keys:
+
+    - ``trap.kind`` (required): ``harmonic`` needs ``trap.omega``,
+      ``infinite_well`` needs ``trap.length``, ``quadratic`` needs
+      ``trap.A`` and takes ``trap.B`` and ``trap.C`` (default 0) for
+      V(x) = A x^2 + B x + C, and ``none`` needs nothing.
+    - ``interaction.kind``: ``none`` (the default), or ``harmonic``,
+      ``inverse_square`` or ``contact``, each of which needs
+      ``interaction.gamma``.  A contact interaction takes
+      ``interaction.gamma = unitary`` for its unitary limit.
+    - ``units.mode``: ``natural`` (the default), whose ``mass`` and
+      ``hbar`` are 1 whatever valid values the file gives, or
+      ``explicit``.
+    - ``mass`` and ``hbar``: default 1.
+
+    Every number must be finite: a NaN or +-inf value is a ConfigError
+    that names the key and its line, as a value that is not a number is.
     """
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -400,68 +412,48 @@ def parse_config(text: str) -> ModelSpec:
         values[key] = val
         lines[key] = i
 
-    def need(key):
-        if key not in values:
+    def need(key, default=None):
+        """The text of ``key``, or ``default`` when it is absent; a key
+        without a default is required."""
+        if key in values:
+            return values[key]
+        if default is None:
             raise ConfigError(f"missing required key {key!r}")
-        return values[key]
+        return default
 
-    def fnum(key):
+    def fnum(key, default=None):
+        """The finite number at ``key``, or ``default`` when it is absent."""
+        if key not in values and default is not None:
+            return default
+        text = need(key)
         try:
-            return float(values[key])
+            x = float(text)
         except ValueError:
-            raise ConfigError(f"key {key!r} is not a number: {values[key]!r}",
+            raise ConfigError(f"key {key!r} is not a number: {text!r}",
                               line=lines[key]) from None
+        if not math.isfinite(x):
+            raise ConfigError(f"key {key!r} is not finite: {text!r}",
+                              line=lines[key])
+        return x
 
-    tkind = need("trap.kind")
-    if tkind == "harmonic":
-        if "trap.omega" not in values:
-            raise ConfigError("missing required key 'trap.omega'")
-        trap = HarmonicTrap(omega=fnum("trap.omega"))
-    elif tkind == "infinite_well":
-        if "trap.length" not in values:
-            raise ConfigError("missing required key 'trap.length'")
-        trap = InfiniteWell(length=fnum("trap.length"))
-    elif tkind == "quadratic":
-        if "trap.A" not in values:
-            raise ConfigError("missing required key 'trap.A'")
-        trap = QuadraticTrap(
-            a=fnum("trap.A"),
-            b=fnum("trap.B") if "trap.B" in values else 0.0,
-            c=fnum("trap.C") if "trap.C" in values else 0.0,
-        )
-    elif tkind == "none":
-        trap = NoTrap()
-    else:
-        raise ConfigError(f"unknown trap.kind {tkind!r}", line=lines["trap.kind"])
+    def kind_of(key, table, default=None):
+        kind = need(key, default)
+        if kind not in table:
+            raise ConfigError(f"unknown {key} {kind!r}", line=lines[key])
+        return kind
 
-    ikind = values.get("interaction.kind", "none")
+    trap_cls, trap_keys = _TRAPS[kind_of("trap.kind", _TRAPS)]
+    trap = trap_cls(*(fnum(k, d) for k, d in trap_keys.items()))
+    ikind = kind_of("interaction.kind", _INTERACTIONS, "none")
     if ikind == "none":
         inter = NoInteraction()
-    elif ikind in ("harmonic", "inverse_square"):
-        if "interaction.gamma" not in values:
-            raise ConfigError("missing required key 'interaction.gamma'")
-        g = fnum("interaction.gamma")
-        inter = HarmonicInteraction(g) if ikind == "harmonic" else InverseSquareInteraction(g)
-    elif ikind == "contact":
-        if "interaction.gamma" not in values:
-            raise ConfigError("missing required key 'interaction.gamma'")
-        gval = values["interaction.gamma"]
-        if gval == "unitary":
-            inter = ContactInteraction(gamma=None, unitary=True)
-        else:
-            inter = ContactInteraction(gamma=fnum("interaction.gamma"))
+    elif ikind == "contact" and need("interaction.gamma") == "unitary":
+        inter = ContactInteraction(unitary=True)
     else:
-        raise ConfigError(f"unknown interaction.kind {ikind!r}",
-                          line=lines["interaction.kind"])
-
-    units = UnitsConvention(values.get("units.mode", "natural"))
-    spec = ModelSpec(
-        trap=trap,
-        interaction=inter,
-        mass=fnum("mass") if "mass" in values else 1.0,
-        hbar=fnum("hbar") if "hbar" in values else 1.0,
-        units=units,
-    )
+        inter = _INTERACTIONS[ikind](fnum("interaction.gamma"))
+    spec = ModelSpec(trap=trap, interaction=inter, mass=fnum("mass", 1.0),
+                     hbar=fnum("hbar", 1.0),
+                     units=UnitsConvention(need("units.mode", "natural")))
     try:
         return validate_model(spec)
     except ModelValidationError as exc:

@@ -17,13 +17,7 @@ import numpy as np
 
 from .composition import GROUP_TOLERANCE, energy_runs
 from .errors import NonIntegerMultiplicity, NonInvariantSubspace
-from .jacobi import (
-    PERMUTATIONS,
-    THREE_CYCLES,
-    TRANSPOSITIONS,
-    perm_compose,
-    perm_sign,
-)
+from .jacobi import PERMUTATIONS, perm_compose, perm_sign
 
 
 @dataclass(frozen=True)
@@ -85,31 +79,22 @@ def _build_s3() -> GroupSpec:
     for i, p in enumerate(elements):
         for j, q in enumerate(elements):
             table[i, j] = elements.index(perm_compose(p, q))
-    chi = {
-        "[3]": np.ones(n, dtype=int),
-        "[1^3]": np.array([perm_sign(p) for p in elements], dtype=int),
-    }
-    chi21 = np.empty(n, dtype=int)
-    for i, p in enumerate(elements):
-        if p == (1, 2, 3):
-            chi21[i] = 2
-        elif p in TRANSPOSITIONS:
-            chi21[i] = 0
-        else:
-            assert p in THREE_CYCLES
-            chi21[i] = -1
-    chi["[21]"] = chi21
+    # [21] is the permutation representation on three points less [3]:
+    # its character is the number of fixed points less one
     g = GroupSpec(
         name="S3", elements=elements, table=table,
         classes=_conjugacy_classes(table),
-        irreps={"[3]": chi["[3]"], "[21]": chi["[21]"], "[1^3]": chi["[1^3]"]},
+        irreps={"[3]": np.ones(n, dtype=int),
+                "[21]": np.array([sum(p[a] == a + 1 for a in range(3)) - 1
+                                  for p in elements], dtype=int),
+                "[1^3]": np.array([perm_sign(p) for p in elements], dtype=int)},
         dims={"[3]": 1, "[21]": 2, "[1^3]": 1},
     )
     _verify_group(g)
     return g
 
 
-def _product_with_z2(g: GroupSpec, name: str, suffix=("+", "-")) -> GroupSpec:
+def _product_with_z2(g: GroupSpec, name: str) -> GroupSpec:
     """Direct product G x Z2 with irreps labelled by a parity suffix."""
     elements = tuple((e, s) for e in g.elements for s in (1, -1))
     n = len(elements)
@@ -122,7 +107,7 @@ def _product_with_z2(g: GroupSpec, name: str, suffix=("+", "-")) -> GroupSpec:
     irreps = {}
     dims = {}
     for label, chi in g.irreps.items():
-        for s, suf in zip((1, -1), suffix):
+        for s, suf in ((1, "+"), (-1, "-")):
             lab = label + suf
             irreps[lab] = np.array(
                 [chi[g.index(a)] * (1 if sa == 1 else s) for a, sa in elements],

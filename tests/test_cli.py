@@ -371,3 +371,50 @@ def test_closed_form_commands_do_not_load_scipy(configs, tmp_path,
     assert run(*oracle[:-1], tmp_path / "warm")[0] == 0
     assert (tmp_path / "fresh" / "report.json").read_bytes() \
         == (tmp_path / "warm" / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("command, model, text, message", [
+    ("spectrum", "unitary-contact",
+     TRAP + "interaction.kind = contact\ninteraction.gamma = 2.0\n",
+     "config error: model 'unitary-contact' needs interaction.gamma = unitary"),
+    ("irreps", "unitary-contact",
+     TRAP + "interaction.kind = contact\ninteraction.gamma = 2.0\n",
+     "config error: model 'unitary-contact' needs interaction.gamma = unitary"),
+    ("irreps", "harm-harm", CONFIGS["harm-harm"],
+     "config error: irreps supports noninteracting and unitary-contact, "
+     "got 'harm-harm'"),
+], ids=["spectrum_finite_contact", "irreps_finite_contact", "irreps_harm_harm"])
+def test_model_the_config_or_command_cannot_run_exits_2(command, model, text,
+                                                        message, tmp_path):
+    path = tmp_path / "model.cfg"
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", str(path), "--model", model,
+                         "--emax", EMAX, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert err.getvalue() == message + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, key, text", [
+    (["spectrum", "--model", "noninteracting", "--emax", EMAX], "trap.omega",
+     "trap.kind = harmonic\ntrap.omega = inf\n"),
+    (["spectrum", "--model", "harm-harm", "--emax", EMAX], "interaction.gamma",
+     TRAP + "interaction.kind = harmonic\ninteraction.gamma = nan\n"),
+    (["verify", "--check", "oracle"], "interaction.gamma",
+     TRAP + "interaction.kind = harmonic\ninteraction.gamma = nan\n"),
+], ids=["spectrum_omega", "spectrum_gamma", "verify_gamma"])
+def test_non_finite_config_exits_2_and_writes_nothing(argv, key, text,
+                                                      tmp_path):
+    # before, these ran: spectrum wrote a levels.csv with only its header,
+    # and the oracle check printed max_residual=nan and exited 3
+    path = tmp_path / "model.cfg"
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([argv[0], "--config", str(path), *argv[1:], "--out",
+                         str(tmp_path / "out")])
+    assert code == 2
+    assert f"key {key!r} is not finite" in err.getvalue()
+    assert not (tmp_path / "out").exists()

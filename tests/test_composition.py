@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from threebody1d.composition import (
     multiset_class,
 )
 from threebody1d.errors import TruncationRisk
+from threebody1d.grids import Grid1D
 from threebody1d.models import HarmonicTrap, InfiniteWell
-from threebody1d.onebody import analytic_spectrum
+from threebody1d.onebody import analytic_spectrum, grid_spectrum_1d
 
 
 def loop_window_top(energies, e_max, tol):
@@ -203,6 +205,34 @@ class TestGeneric:
         for lv in levels:
             assert lv.energy == pytest.approx(
                 sum(eps[i] for i in lv.multisets[0]), rel=1e-12)
+
+
+@given(eps0=st.floats(0.01, 2.0), gaps=st.lists(st.one_of(
+    st.floats(0.05, 3.0), st.sampled_from([0.0, 1e-12, 1e-9])),
+    min_size=3, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_degeneracy_counts_the_ordered_triples(eps0, gaps):
+    """Per level: degeneracy = the sum of its class sizes = the number of
+    distinct ordered triples its multisets refine into."""
+    eps = np.cumsum([eps0, *gaps])
+    try:
+        levels = compose_spectrum(eps, 3 * eps[len(eps) // 3])
+    except TruncationRisk:
+        return
+    for lv in levels:
+        ordered = {t for ms in lv.multisets for t in permutations(ms)}
+        assert lv.degeneracy == sum(CLASS_SIZE[c] for c in lv.classes) \
+            == len(ordered)
+
+
+def test_grid_spectrum_groups_within_its_error():
+    # a grid spectrum is grouped within 10x its error estimate; grouped
+    # as bare floats, the same energies split each oscillator shell
+    sigma1 = grid_spectrum_1d(HarmonicTrap(1.0), Grid1D(-8.0, 8.0, 512), 7)
+    levels = compose_spectrum(sigma1, 4.6)
+    assert [lv.degeneracy for lv in levels] == [1, 3, 6, 10]
+    raw = compose_spectrum(np.asarray(sigma1.energies), 4.6)
+    assert [lv.degeneracy for lv in raw] == [1, 3, 3, 3, 3, 6, 1]
 
 
 def test_csv_export(harmonic_sigma1):

@@ -1,8 +1,12 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from threebody1d.errors import (
     ConfigError,
+    MissingParameter,
     ModelValidationError,
     NegativeCoupling,
     NonConfiningTrap,
@@ -230,3 +234,108 @@ class TestConfig:
     def test_invalid_model_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("trap.kind = infinite_well\ntrap.length = -2\n")
+
+    @pytest.mark.parametrize("text, message, line", [
+        ("trap.kind = harmonic\ntrap.omega\n",
+         "expected 'key = value', got 'trap.omega'", 2),
+        ("trap.omega = 1\n", "missing required key 'trap.kind'", None),
+        ("trap.kind = harmonic\n", "missing required key 'trap.omega'", None),
+        ("trap.kind = infinite_well\n", "missing required key 'trap.length'",
+         None),
+        ("trap.kind = quadratic\ntrap.B = 1\n", "missing required key 'trap.A'",
+         None),
+        ("trap.kind = quartic\n", "unknown trap.kind 'quartic'", 1),
+        ("trap.kind = harmonic\ntrap.omega = 1\ninteraction.kind = yukawa\n",
+         "unknown interaction.kind 'yukawa'", 3),
+        ("trap.kind = harmonic\ntrap.omega = 1\ninteraction.kind = contact\n",
+         "missing required key 'interaction.gamma'", None),
+    ], ids=["no_equals", "no_trap_kind", "no_omega", "no_length", "no_A",
+            "unknown_trap", "unknown_interaction", "contact_without_gamma"])
+    def test_parse_errors(self, text, message, line):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.line == line
+        assert str(exc.value) == (f"line {line}: " if line else "") + message
+
+    def test_quadratic_trap_defaults(self):
+        spec = parse_config("trap.kind = quadratic\ntrap.A = 0.5\n")
+        assert spec.trap == QuadraticTrap(0.5, 0.0, 0.0)
+        spec = parse_config("trap.kind = quadratic\ntrap.C = -1\n"
+                            "trap.A = 0.5\ntrap.B = 0.2\n")
+        assert spec.trap == QuadraticTrap(0.5, 0.2, -1.0)
+
+
+@pytest.mark.parametrize("spec, error, message", [
+    (ModelSpec(HarmonicTrap(0.0)), NegativeCoupling,
+     "NegativeCoupling: harmonic trap requires omega > 0"),
+    (ModelSpec(InfiniteWell(0.0)), NegativeCoupling,
+     "NegativeCoupling: infinite well requires length L > 0"),
+    (ModelSpec(QuadraticTrap(-1.0)), NonConfiningTrap,
+     "NonConfiningTrap: quadratic trap requires a > 0"),
+    (ModelSpec(TabulatedTrap((0.0, 1.0, 2.0), (1.0, 0.0, 1.0))),
+     MissingParameter,
+     "MissingParameter: tabulated trap needs >= 4 (x, V) samples"),
+    (ModelSpec(TabulatedTrap((0.0, 2.0, 1.0, 3.0), (1.0, 0.0, 0.0, 1.0))),
+     MissingParameter,
+     "MissingParameter: tabulated trap abscissa must increase"),
+    (ModelSpec(SimpleNamespace(kind="quartic")), MissingParameter,
+     "MissingParameter: unknown trap kind 'quartic'"),
+    (ModelSpec(HarmonicTrap(1.0), ContactInteraction(gamma=-1.0)),
+     NegativeCoupling,
+     "NegativeCoupling: contact interaction requires gamma >= 0"),
+    (ModelSpec(HarmonicTrap(1.0), mass=0.0), MissingParameter,
+     "MissingParameter: mass must be positive"),
+    (ModelSpec(HarmonicTrap(1.0), hbar=-1.0), MissingParameter,
+     "MissingParameter: hbar must be positive"),
+    (ModelSpec(HarmonicTrap(1.0), units=UnitsConvention("cgs")),
+     MissingParameter, "MissingParameter: unknown units mode 'cgs'"),
+], ids=["omega", "length", "a", "few_samples", "non_increasing",
+        "unknown_trap", "contact_gamma", "mass", "hbar", "units"])
+def test_each_violation_raises_its_error(spec, error, message):
+    assert collect_violations(spec) == [message]
+    with pytest.raises(error) as exc:
+        validate_model(spec)
+    assert type(exc.value) is error
+    assert exc.value.violations == [message]
+
+
+# each numeric key, last in a config that is valid without it
+NUMERIC_KEYS = {
+    "trap.omega": "trap.kind = harmonic\n",
+    "trap.length": "trap.kind = infinite_well\n",
+    "trap.A": "trap.kind = quadratic\n",
+    "trap.B": "trap.kind = quadratic\ntrap.A = 1\n",
+    "trap.C": "trap.kind = quadratic\ntrap.A = 1\n",
+    "interaction.gamma": "trap.kind = harmonic\ntrap.omega = 1\n"
+                         "interaction.kind = harmonic\n",
+    "mass": "trap.kind = harmonic\ntrap.omega = 1\nunits.mode = explicit\n",
+    "hbar": "trap.kind = harmonic\ntrap.omega = 1\nunits.mode = explicit\n",
+}
+
+
+@pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_non_finite_number_is_a_config_error(key, value):
+    text = NUMERIC_KEYS[key] + f"{key} = {value}\n"
+    line = text.count("\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: key {key!r} is not finite: {value!r}"
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(HarmonicTrap(1.0), HarmonicInteraction(math.nan)),
+    ModelSpec(HarmonicTrap(1.0), InverseSquareInteraction(math.nan)),
+    ModelSpec(HarmonicTrap(1.0), ContactInteraction(gamma=math.nan)),
+    ModelSpec(HarmonicTrap(1.0), mass=math.nan),
+    ModelSpec(HarmonicTrap(1.0), hbar=math.nan),
+    ModelSpec(InfiniteWell(math.nan)),
+    ModelSpec(QuadraticTrap(math.nan)),
+    ModelSpec(TabulatedTrap((0.0, math.nan, 2.0, 3.0), (1.0, 0.0, 0.0, 1.0))),
+], ids=["harmonic_gamma", "inverse_square_gamma", "contact_gamma", "mass",
+        "hbar", "length", "a", "abscissa"])
+def test_nan_parameter_is_a_violation(spec):
+    assert len(collect_violations(spec)) == 1
+    with pytest.raises(ModelValidationError):
+        validate_model(spec)
