@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 internal failure, 2 config error, 3 check
 failure.  Every output directory receives exactly one manifest.json;
 all other outputs are byte-identical across reruns with the same
-config and seed.
+config.
 
 ``MODEL_KINDS`` is the one table of the models ``spectrum`` and
 ``irreps`` take: each ``--model`` runs only on a config whose
@@ -251,7 +251,6 @@ def _write_manifest(args, t0: float):
         "config": str(args.config),
         "import_s": round(_import_s, 6),
         "output_dir": str(out),
-        "seed": args.seed,
         "tool_version": __version__,
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
@@ -275,9 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="threebody1d",
         description="Spectra, symmetries and entanglement structures of "
                     "three particles in one dimension")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed recorded in the manifest and used by "
-                         "stochastic checks")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="tabulate a model spectrum")

@@ -237,25 +237,6 @@ def _hamiltonian(xs, ps, omega: float, gamma: float, mass: float):
     return h.tocsr()
 
 
-def interacting_hamiltonian(n: int, omega: float, gamma: float, *,
-                            mass: float = 1.0, hbar: float = 1.0,
-                            basis: str = "particle"):
-    """Harmonic trap + harmonic interaction in a truncated mode basis.
-
-    ``basis='particle'`` uses one oscillator mode per particle;
-    ``basis='jacobi'`` expresses the same particle-coordinate operators
-    through Jacobi modes (X_i = sum_a R_ai Q_a), in which the
-    interaction's cross terms cancel and the operator becomes a sum of
-    factor-local pieces.
-    """
-    xs, ps = three_mode_operators(n, mass=mass, hbar=hbar, omega=omega)
-    if basis == "jacobi":
-        xs, ps = _from_jacobi(xs), _from_jacobi(ps)
-    elif basis != "particle":
-        raise ValueError(f"unknown basis {basis!r}")
-    return _hamiltonian(xs, ps, omega, gamma, mass)
-
-
 def superintegrability_check(n: int = 12, *, omega: float = 1.0,
                              mass: float = 1.0, hbar: float = 1.0,
                              gamma_control: float = 0.5) -> CheckReport:

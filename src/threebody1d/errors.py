@@ -65,10 +65,6 @@ class GridResolutionTooCoarse(ThreeBodyError):
     pass
 
 
-class SingularPotentialUnresolved(ThreeBodyError):
-    pass
-
-
 class ResourceBudgetExceeded(ThreeBodyError):
     pass
 

@@ -54,7 +54,3 @@ class PolarGrid:
 
     def phi_points(self) -> np.ndarray:
         return self.phi_min + (np.arange(self.n_phi) + 1) * self.dphi
-
-    def halved(self) -> "PolarGrid":
-        return PolarGrid(self.rho_max, self.n_rho // 2, self.phi_min,
-                         self.phi_max, self.n_phi // 2)

@@ -194,29 +194,40 @@ class ModelSpec:
 # ---------------------------------------------------------------------------
 
 def collect_violations(spec: ModelSpec) -> list[str]:
-    """All invariant violations of ``spec``, empty when valid."""
+    """All invariant violations of ``spec``, empty when valid.  A NaN or
+    infinite number is one violation, in place of its range rule."""
     bad = []
+
+    def rule(name, x, ok=True, message=None):
+        if not math.isfinite(x):
+            bad.append(f"MissingParameter: {name} must be finite")
+        elif not ok:
+            bad.append(message)
+
     t = spec.trap
     if t.kind == "harmonic":
-        if not (t.omega > 0):
-            bad.append("NegativeCoupling: harmonic trap requires omega > 0")
+        rule("trap omega", t.omega, t.omega > 0,
+             "NegativeCoupling: harmonic trap requires omega > 0")
     elif t.kind == "infinite_well":
-        if not (t.length > 0):
-            bad.append("NegativeCoupling: infinite well requires length L > 0")
+        rule("trap length", t.length, t.length > 0,
+             "NegativeCoupling: infinite well requires length L > 0")
     elif t.kind == "quadratic":
-        if not (t.a > 0):
-            bad.append("NonConfiningTrap: quadratic trap requires a > 0")
+        rule("trap a", t.a, t.a > 0,
+             "NonConfiningTrap: quadratic trap requires a > 0")
+        rule("trap b", t.b)
+        rule("trap c", t.c)
     elif t.kind == "custom_tabulated":
         xs = np.asarray(t.xs, dtype=float)
         vs = np.asarray(t.vs, dtype=float)
         if xs.ndim != 1 or xs.size < 4 or xs.size != vs.size:
             bad.append("MissingParameter: tabulated trap needs >= 4 (x, V) samples")
+        elif not np.all(np.isfinite((xs, vs))):
+            bad.append("MissingParameter: tabulated trap samples must be finite")
         elif not np.all(np.diff(xs) > 0):
             bad.append("MissingParameter: tabulated trap abscissa must increase")
-        else:
-            # Confinement: the samples must rise toward both grid ends.
-            if not (vs[-1] > vs[-2] and vs[0] > vs[1]):
-                bad.append("NonConfiningTrap: tabulated trap must increase toward both ends")
+        elif not (vs[-1] > vs[-2] and vs[0] > vs[1]):
+            # confinement: the samples must rise toward both grid ends
+            bad.append("NonConfiningTrap: tabulated trap must increase toward both ends")
     elif t.kind != "none":
         bad.append(f"MissingParameter: unknown trap kind {t.kind!r}")
 
@@ -226,13 +237,12 @@ def collect_violations(spec: ModelSpec) -> list[str]:
             bad.append("MissingParameter: unitary contact must not carry a finite gamma")
     elif v.kind == "contact" and v.gamma is None:
         bad.append("MissingParameter: finite contact interaction requires gamma")
-    elif v.kind in ("harmonic", "inverse_square", "contact") and not (v.gamma >= 0):
-        bad.append(f"NegativeCoupling: {v.kind} interaction requires gamma >= 0")
+    elif v.kind in ("harmonic", "inverse_square", "contact"):
+        rule("interaction gamma", v.gamma, v.gamma >= 0,
+             f"NegativeCoupling: {v.kind} interaction requires gamma >= 0")
 
-    if not (spec.mass > 0):
-        bad.append("MissingParameter: mass must be positive")
-    if not (spec.hbar > 0):
-        bad.append("MissingParameter: hbar must be positive")
+    for name, x in (("mass", spec.mass), ("hbar", spec.hbar)):
+        rule(name, x, x > 0, f"MissingParameter: {name} must be positive")
     if spec.units.mode not in ("natural", "explicit"):
         bad.append(f"MissingParameter: unknown units mode {spec.units.mode!r}")
     return bad

@@ -9,7 +9,7 @@ alone (O(N^2) for N points), never from the N x N eigenvector matrix
 a full solve would build.  Eigenvectors are computed by banded inverse
 iteration (two O(N) band solves each), and only where they are read:
 the box-edge checks and ``grid_orbitals_1d``.  The oracle's separable
-2D solves reuse this banded path.
+2D and 3D solves reuse this banded path.
 
 scipy is imported at the first grid solve (or ``kinetic_fd_1d`` call),
 not with this module: the closed forms need numpy alone.
@@ -159,11 +159,13 @@ def grid_spectrum_1d(trap, grid: Grid1D, n_max: int, *, mass: float = 1.0,
 
     The estimated error attached to each level is the grid-halving
     delta |E(N) - E(N/2)|, a conservative bound for both stencils in
-    use.  Both grids are solved for eigenvalues only.  Raises
-    BoxTooSmall when any requested eigenfunction has not decayed at the
-    box edges; the fine grid's eigenvectors are computed by inverse
-    iteration for that check alone, and not at all for a hard-wall box.
+    use.  Both grids are solved for eigenvalues only, and only once the
+    halved one is known to hold enough points.  Raises BoxTooSmall when
+    any requested eigenfunction has not decayed at the box edges; the
+    fine grid's eigenvectors are computed by inverse iteration for that
+    check alone, and not at all for a hard-wall box.
     """
+    _check_points(grid, n_max, 2)
     energies, bands, _ = _grid_solve(trap, grid, n_max, mass, hbar)
     half, _, _ = _grid_solve(trap, grid.halved(), n_max, mass, hbar)
     if not isinstance(trap, InfiniteWell):
@@ -185,11 +187,16 @@ def _check_box_edges(grid, vecs):
             f"enlarge [{grid.x_min}, {grid.x_max}]")
 
 
-def _grid_solve(trap, grid, n_max, mass, hbar):
-    if grid.n < 64:
-        raise TooFewPoints(f"need at least 64 grid points, got {grid.n}")
-    if n_max + 1 > grid.n // 4:
+def _check_points(grid, n_max, scale):
+    """Raise TooFewPoints unless ``grid`` holds 64 * scale points and
+    4 * scale per level (scale 2: its halved grid holds 64 and 4)."""
+    if grid.n < 64 * scale:
+        raise TooFewPoints(f"need at least {64 * scale} grid points, got {grid.n}")
+    if n_max + 1 > grid.n // (4 * scale):
         raise TooFewPoints(f"n_max={n_max} too large for {grid.n} points")
+
+
+def _grid_solve(trap, grid, n_max, mass, hbar):
     if isinstance(trap, InfiniteWell):
         width = grid.x_max - grid.x_min
         if abs(width - trap.length) > 1e-9 * trap.length:
@@ -218,6 +225,7 @@ def grid_orbitals_1d(trap, grid: Grid1D, n_max: int, *, mass: float = 1.0,
     box-edge check.  The sign convention makes each orbital positive at
     its first appreciable point, so results are reproducible.
     """
+    _check_points(grid, n_max, 1)
     vals, bands, x = _grid_solve(trap, grid, n_max, mass, hbar)
     vecs = _band_eigenvectors(bands, vals)
     if not isinstance(trap, InfiniteWell):

@@ -49,12 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (
-    ResourceBudgetExceeded,
-    SingularPotentialUnresolved,
-    TooFewPoints,
-    UnsupportedTrap,
-)
+from .errors import ResourceBudgetExceeded, TooFewPoints, UnsupportedTrap
 from .grids import Grid1D, PolarGrid
 from .models import ModelSpec
 from .onebody import (_band_eigenvectors, _check_box_edges, _solve_banded,
@@ -67,14 +62,9 @@ CM_ANGULAR_PREFACTOR = 4.5
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Lowest eigenvalues of a grid solve, ascending.
-
-    ``convergence_delta`` is |E - E_halved| per eigenvalue when the
-    solve was refined, else None.
-    """
+    """Lowest eigenvalues of a grid solve, ascending."""
 
     eigenvalues: np.ndarray
-    convergence_delta: np.ndarray | None
 
 
 def _eigsh_deterministic(h, k):
@@ -166,8 +156,8 @@ def _polar_relative_levels(spec: ModelSpec, grid: PolarGrid, k: int):
     return np.sort(np.concatenate(channels))[:k], None
 
 
-def relative_spectrum_2d(spec: ModelSpec, grid=None, k: int = 8, *,
-                         refine: bool = False) -> OracleResult:
+def relative_spectrum_2d(spec: ModelSpec, grid=None,
+                         k: int = 8) -> OracleResult:
     """Lowest k eigenvalues of the relative two-degree-of-freedom problem.
 
     Smooth interactions (none, harmonic) are solved on a Cartesian
@@ -175,10 +165,7 @@ def relative_spectrum_2d(spec: ModelSpec, grid=None, k: int = 8, *,
     (else BoxTooSmall); the singular ones (inverse-square, unitary
     contact) on a polar grid restricted to one ordering sector.  Both
     operators separate and are diagonalized exactly by banded 1D solves.
-    ``refine`` re-solves at half resolution and attaches the per-level
-    delta; for the singular models a delta above 1e-3 relative raises
-    SingularPotentialUnresolved.  Exactly k levels are returned: k < 1
-    raises ValueError, a grid (or with ``refine`` a halved grid) of
+    Exactly k levels are returned: k < 1 raises ValueError, a grid of
     fewer than k points TooFewPoints.
     """
     if k < 1:
@@ -186,24 +173,14 @@ def relative_spectrum_2d(spec: ModelSpec, grid=None, k: int = 8, *,
     if grid is None:
         grid = default_relative_grid(spec)
     singular = isinstance(grid, PolarGrid)
-    for g in (grid, grid.halved()) if refine else (grid,):
-        if (points := g.n_rho * g.n_phi if singular else g.n**2) < k:
-            raise TooFewPoints(f"{points} grid points are too few for k = {k}")
+    if (points := grid.n_rho * grid.n_phi if singular else grid.n**2) < k:
+        raise TooFewPoints(f"{points} grid points are too few for k = {k}")
     levels = _polar_relative_levels if singular else _cartesian_relative_levels
     vals, ground = levels(spec, grid, k)
     if not singular:
         # the 2D ground state is v0 (x) v0, with the edge ratio of v0
         _check_box_edges(grid, ground)
-
-    delta = None
-    if refine:
-        cvals, _ = levels(spec, grid.halved(), k)
-        delta = np.abs(vals - cvals)
-        if singular and np.any(delta / np.abs(vals) > 1e-3):
-            raise SingularPotentialUnresolved(
-                f"grid-halving instability {np.max(delta / np.abs(vals)):.2e} "
-                "relative; refine the polar grid")
-    return OracleResult(eigenvalues=vals, convergence_delta=delta)
+    return OracleResult(eigenvalues=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +354,8 @@ def _check_blocks(spec: ModelSpec, n: int, k: int):
                 f"too small for the {need} levels k = {k} needs from it")
 
 
-def _spectrum_3d(spec: ModelSpec, grid: Grid1D, k: int):
-    if _separable(spec):
-        return _separable_spectrum(spec, grid, k)
-    return _block_spectrum(spec, grid, k)
-
-
-def full_spectrum_3d(spec: ModelSpec, grid: Grid1D, k: int = 4, *,
-                     refine: bool = False) -> OracleResult:
+def full_spectrum_3d(spec: ModelSpec, grid: Grid1D,
+                     k: int = 4) -> OracleResult:
     """Lowest k eigenvalues of the full three-particle discretization.
 
     The grid is cubic with identical axes so that particle permutations
@@ -406,8 +377,7 @@ def full_spectrum_3d(spec: ModelSpec, grid: Grid1D, k: int = 4, *,
 
     Exactly k levels are returned.  k < 1 and finite-gamma contact raise
     ValueError; a grid on which some block holds too few states for the
-    levels it must supply raises TooFewPoints (with ``refine``, the
-    halved grid too).
+    levels it must supply raises TooFewPoints.
     """
     if k < 1:
         raise ValueError(f"k = {k} < 1")
@@ -418,9 +388,6 @@ def full_spectrum_3d(spec: ModelSpec, grid: Grid1D, k: int = 4, *,
         raise ResourceBudgetExceeded(f"n per axis {grid.n} > 128")
     if k > 20:
         raise ResourceBudgetExceeded(f"k = {k} > 20")
-    for g in (grid, grid.halved()) if refine else (grid,):
-        _check_blocks(spec, g.n, k)
-    vals = _spectrum_3d(spec, grid, k)
-    delta = (np.abs(vals - _spectrum_3d(spec, grid.halved(), k)) if refine
-             else None)
-    return OracleResult(eigenvalues=vals, convergence_delta=delta)
+    _check_blocks(spec, grid.n, k)
+    solve = _separable_spectrum if _separable(spec) else _block_spectrum
+    return OracleResult(eigenvalues=solve(spec, grid, k))

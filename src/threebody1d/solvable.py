@@ -293,8 +293,8 @@ def fit_cm_exponent(omega: float, gamma: float, *, mass: float = 1.0,
     The sector relative spectrum is hbar*omega*(2 nu + 3 j + 3 alpha + 1);
     the lowest six levels share the offset pattern (0, 2, 3, 4, 5, 6),
     so alpha comes from the fitted additive constant.  Candidates are
-    the printed radical sqrt(1 + 2 m^2 gamma) and the derived
-    sqrt(1 + 4 m gamma / hbar^2).
+    (1 + r)/2 for the printed radical r = sqrt(1 + 2 m^2 gamma) and the
+    derived r = sqrt(1 + 4 m gamma / hbar^2).
     """
     from .models import HarmonicTrap, InverseSquareInteraction, ModelSpec
     from .oracle import relative_spectrum_2d
@@ -308,7 +308,7 @@ def fit_cm_exponent(omega: float, gamma: float, *, mass: float = 1.0,
     resid = float(np.sqrt(np.mean(
         (e - hbar * omega * (_SECTOR_OFFSETS + const)) ** 2)))
     candidates = {
-        "printed_2m2g": 0.5 * math.sqrt(1.0 + 2.0 * mass**2 * gamma),
+        "printed_2m2g": 0.5 * (1.0 + math.sqrt(1.0 + 2.0 * mass**2 * gamma)),
         "derived_4mg": cm_angular_exponent(gamma, mass=mass, hbar=hbar),
     }
     winner = min(candidates, key=lambda k: abs(candidates[k] - alpha_fit))

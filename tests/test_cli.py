@@ -254,7 +254,7 @@ def test_manifest_records_import_time(configs, tmp_path):
                   tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert set(manifest) == {"command", "config", "import_s", "output_dir",
-                             "seed", "tool_version", "wall_time_s"}
+                             "tool_version", "wall_time_s"}
     assert manifest["import_s"] == round(threebody1d._import_s, 6) > 0
 
 

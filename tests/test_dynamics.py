@@ -5,13 +5,14 @@ import numpy as np
 from threebody1d.dynamics import (
     TPSBipartition,
     TruncatedState,
+    _hamiltonian,
     evolve,
     gold_locality_check,
-    interacting_hamiltonian,
     ladder_check,
     local_projection,
     schmidt,
     superintegrability_check,
+    three_mode_operators,
 )
 from threebody1d.errors import (
     DimensionMismatch,
@@ -90,7 +91,7 @@ class TestGoldLocality:
         # negative control: the pair terms couple the particle modes, so
         # the same operator in the particle basis is far from local
         n = 8
-        h = interacting_hamiltonian(n, 1.0, 0.5, basis="particle").toarray()
+        h = _hamiltonian(*three_mode_operators(n), 1.0, 0.5, 1.0).toarray()
         assert local_projection(h, (n, n, n))[1] > 1e-2
-        h0 = interacting_hamiltonian(n, 1.0, 0.0, basis="particle").toarray()
+        h0 = _hamiltonian(*three_mode_operators(n), 1.0, 0.0, 1.0).toarray()
         assert local_projection(h0, (n, n, n))[1] < 1e-12

@@ -339,3 +339,33 @@ def test_nan_parameter_is_a_violation(spec):
     assert len(collect_violations(spec)) == 1
     with pytest.raises(ModelValidationError):
         validate_model(spec)
+
+
+@pytest.mark.parametrize("spec, name", [
+    (ModelSpec(TabulatedTrap((0, 1, 2, 3, 4), (1, 0, math.nan, 0.5, 1))),
+     "tabulated trap samples"),
+    (ModelSpec(TabulatedTrap((0, 1, 2, 3, 4), (1, 0, math.inf, 0.5, 1))),
+     "tabulated trap samples"),
+    (ModelSpec(TabulatedTrap((0, 1, 2, 3, 4), (1, 0, -math.inf, 0.5, 1))),
+     "tabulated trap samples"),
+    (ModelSpec(HarmonicTrap(math.inf)), "trap omega"),
+    (ModelSpec(QuadraticTrap(1.0, math.nan, 0.0)), "trap b"),
+    (ModelSpec(QuadraticTrap(1.0, 0.0, -math.inf)), "trap c"),
+    (ModelSpec(InfiniteWell(math.inf)), "trap length"),
+    (ModelSpec(HarmonicTrap(1.0), HarmonicInteraction(math.inf)),
+     "interaction gamma"),
+    (ModelSpec(HarmonicTrap(1.0), InverseSquareInteraction(math.inf)),
+     "interaction gamma"),
+    (ModelSpec(HarmonicTrap(1.0), mass=math.inf,
+               units=UnitsConvention("explicit")), "mass"),
+    (ModelSpec(HarmonicTrap(1.0), hbar=math.inf,
+               units=UnitsConvention("explicit")), "hbar"),
+], ids=["tabulated_nan", "tabulated_inf", "tabulated_neg_inf", "omega",
+        "b", "c", "length", "harmonic_gamma", "inverse_square_gamma",
+        "mass", "hbar"])
+def test_non_finite_number_is_one_violation(spec, name):
+    message = f"MissingParameter: {name} must be finite"
+    assert collect_violations(spec) == [message]
+    with pytest.raises(MissingParameter) as exc:
+        validate_model(spec)
+    assert exc.value.violations == [message]

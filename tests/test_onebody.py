@@ -109,6 +109,20 @@ class TestGrid:
         with pytest.raises(TooFewPoints):
             grid_spectrum_1d(HarmonicTrap(1.0), Grid1D(-8.0, 8.0, 32), 1)
 
+    @pytest.mark.parametrize("n, n_max, match", [
+        (100, 0, "need at least 128 grid points, got 100"),
+        (160, 20, "n_max=20 too large for 160 points"),
+    ], ids=("n_100", "n_160_nmax_20"))
+    def test_halved_grid_is_checked_before_solving(self, monkeypatch, n,
+                                                   n_max, match):
+        # both grids pass on their own; their halved partners do not
+        def solve(*args, **kwargs):
+            raise AssertionError("solved a grid that is refused")
+
+        monkeypatch.setattr(onebody, "eig_banded", solve)
+        with pytest.raises(TooFewPoints, match=match):
+            grid_spectrum_1d(HarmonicTrap(1.0), Grid1D(-8.0, 8.0, n), n_max)
+
     def test_well_grid_must_match_walls(self):
         with pytest.raises(GridMismatch):
             grid_spectrum_1d(InfiniteWell(2.0), Grid1D(-8.0, 8.0, 256), 1)

@@ -11,7 +11,6 @@ from threebody1d import oracle
 from threebody1d.errors import (
     BoxTooSmall,
     ResourceBudgetExceeded,
-    SingularPotentialUnresolved,
     TooFewPoints,
     UnsupportedTrap,
 )
@@ -126,22 +125,15 @@ class TestRelativeSpectrum2D:
         np.testing.assert_allclose(vals, 0.8 * np.array([1, 2, 2, 3, 3, 3]),
                                    rtol=1e-4)
 
-    def test_unresolved_singular_potential_raises(self, spec_calogero):
-        with pytest.raises(SingularPotentialUnresolved,
-                           match="grid-halving instability"):
-            relative_spectrum_2d(spec_calogero, SECTOR_GRID, k=6, refine=True)
-
-    @pytest.mark.parametrize("grid, k, refine, error, match", [
-        (sector_grid(3, 2), 20, False, TooFewPoints, "6 grid points"),
-        (Grid1D(-7.0, 7.0, 4), 17, False, TooFewPoints, "16 grid points"),
-        (Grid1D(-7.0, 7.0, 6), 10, True, TooFewPoints, "9 grid points"),
-        (SECTOR_GRID, 0, False, ValueError, "k = 0"),
-        (Grid1D(-7.0, 7.0, 48), -1, False, ValueError, "k = -1"),
-    ], ids=("polar_6_k20", "cartesian_16_k17", "halved_9_k10", "k_0",
-            "k_neg"))
+    @pytest.mark.parametrize("grid, k, error, match", [
+        (sector_grid(3, 2), 20, TooFewPoints, "6 grid points"),
+        (Grid1D(-7.0, 7.0, 4), 17, TooFewPoints, "16 grid points"),
+        (SECTOR_GRID, 0, ValueError, "k = 0"),
+        (Grid1D(-7.0, 7.0, 48), -1, ValueError, "k = -1"),
+    ], ids=("polar_6_k20", "cartesian_16_k17", "k_0", "k_neg"))
     def test_bad_k_or_grid_raises_before_solving(
             self, monkeypatch, spec_calogero, spec_harm_harm, grid, k,
-            refine, error, match):
+            error, match):
         def solve(spec, grid, k):
             raise AssertionError("solved with a bad k or grid")
 
@@ -149,7 +141,7 @@ class TestRelativeSpectrum2D:
         monkeypatch.setattr(oracle, "_polar_relative_levels", solve)
         spec = spec_calogero if isinstance(grid, PolarGrid) else spec_harm_harm
         with pytest.raises(error, match=match):
-            relative_spectrum_2d(spec, grid, k=k, refine=refine)
+            relative_spectrum_2d(spec, grid, k=k)
 
     def test_trap_without_relative_frame_raises(self):
         spec = ModelSpec(InfiniteWell(2.0), ContactInteraction(unitary=True))
@@ -162,7 +154,6 @@ class TestFullSpectrum3D:
         # E0 = omega/2 + omega_rel with omega_rel = sqrt(1 + 6 gamma) = 2
         result = full_spectrum_3d(spec_harm_harm, Grid1D(-6.0, 6.0, 24), k=1)
         assert result.eigenvalues[0] == pytest.approx(2.5, rel=1e-2)
-        assert result.convergence_delta is None
 
     def test_finite_contact_raises(self):
         spec = ModelSpec(HarmonicTrap(1.0), ContactInteraction(gamma=2.0))
@@ -181,23 +172,23 @@ class TestFullSpectrum3D:
         with pytest.raises(ResourceBudgetExceeded, match=match):
             full_spectrum_3d(spec_harm_harm, Grid1D(-6.0, 6.0, n), k=k)
 
-    @pytest.mark.parametrize("model, n, k, refine, error, match", [
-        ("harm_harm", 12, 0, False, ValueError, "k = 0"),
-        ("harm_harm", 12, -1, False, ValueError, "k = -1"),
-        ("harm_harm", 3, 4, False, TooFewPoints, "block of 1 states"),
-        ("noninteracting", 1, 1, False, TooFewPoints, "n = 1"),
-        ("calogero", 4, 20, False, TooFewPoints, "block of 4 states"),
-        ("unitary", 6, 20, True, TooFewPoints, "n = 3 points"),
-    ], ids=("k_0", "k_neg", "n_3", "n_1", "calogero_n4_k20", "halved_n3"))
+    @pytest.mark.parametrize("model, n, k, error, match", [
+        ("harm_harm", 12, 0, ValueError, "k = 0"),
+        ("harm_harm", 12, -1, ValueError, "k = -1"),
+        ("harm_harm", 3, 4, TooFewPoints, "block of 1 states"),
+        ("noninteracting", 1, 1, TooFewPoints, "n = 1"),
+        ("calogero", 4, 20, TooFewPoints, "block of 4 states"),
+    ], ids=("k_0", "k_neg", "n_3", "n_1", "calogero_n4_k20"))
     def test_bad_k_or_grid_raises_before_solving(
-            self, monkeypatch, request, model, n, k, refine, error, match):
+            self, monkeypatch, request, model, n, k, error, match):
         def solve(spec, grid, k):
             raise AssertionError("solved with a bad k or grid")
 
-        monkeypatch.setattr(oracle, "_spectrum_3d", solve)
+        monkeypatch.setattr(oracle, "_separable_spectrum", solve)
+        monkeypatch.setattr(oracle, "_block_spectrum", solve)
         spec = request.getfixturevalue(f"spec_{model}")
         with pytest.raises(error, match=match):
-            full_spectrum_3d(spec, Grid1D(-3.0, 3.0, n), k=k, refine=refine)
+            full_spectrum_3d(spec, Grid1D(-3.0, 3.0, n), k=k)
 
     @pytest.mark.parametrize("n", [4, 8, 10])
     @pytest.mark.parametrize("trap", [
@@ -302,14 +293,6 @@ class TestFullSpectrum3D:
         vals = full_spectrum_3d(spec_unitary, Grid1D(-6.0, 6.0, n), k=7).eigenvalues
         assert np.all(vals[:6] == vals[0])
         assert vals[6] > vals[0] * (1 + 1e-6)
-
-    def test_refine_solves_the_halved_grid_in_blocks(self, spec_unitary):
-        grid = Grid1D(-6.0, 6.0, 16)
-        result = full_spectrum_3d(spec_unitary, grid, k=6, refine=True)
-        coarse = full_spectrum_3d(spec_unitary, grid.halved(), k=6)
-        np.testing.assert_array_equal(
-            result.convergence_delta,
-            np.abs(result.eigenvalues - coarse.eigenvalues))
 
 
 @pytest.mark.parametrize("n", [5, 12])

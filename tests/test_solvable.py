@@ -137,6 +137,15 @@ class TestCalogeroMoser:
         assert fit.winner == "derived_4mg"
         assert fit.fitted == pytest.approx((1 + math.sqrt(5)) / 2, abs=2e-3)
 
+    def test_candidates_share_the_half_plus_radical_rule(self):
+        # 2 m^2 gamma = 4 m gamma / hbar^2 at m = 2, hbar = 1
+        grid = PolarGrid(7.5, 60, math.pi / 6, math.pi / 2, 40)
+        same = fit_cm_exponent(1.0, 1.0, mass=2.0, grid=grid).candidates
+        assert same["printed_2m2g"] == same["derived_4mg"] == 2.0
+        apart = fit_cm_exponent(1.0, 1.0, grid=grid).candidates
+        assert apart["printed_2m2g"] == pytest.approx((1 + math.sqrt(3)) / 2)
+        assert apart["derived_4mg"] == pytest.approx((1 + math.sqrt(5)) / 2)
+
     def test_requires_positive_gamma(self):
         with pytest.raises(ValueError):
             calogero_moser_spectrum(1.0, 0.0, 5.0)
