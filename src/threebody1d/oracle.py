@@ -33,9 +33,12 @@ Inverse-square keeps the sector block of unitary contact.  Harm-harm is
 restricted to orthonormal bases built from orbits of grid-index
 triples: the [3] and [1^3] blocks and one row of the [21] irrep, whose
 levels count twice.  Each block's kinetic part is built once per grid
-and the S3-invariant potential adds only its diagonal.  For harm-harm,
-a min-max bound from the noninteracting levels skips the [1^3] solve
-when that block cannot reach the lowest k.
+and the S3-invariant potential adds only its diagonal.  Lanczos asks
+each block for exactly the ceil(k / copies) levels it must supply: the
+copies come from the irrep, and what symmetry the block keeps (global
+parity) has 1-dimensional irreps, so it forces no degeneracy.  For
+harm-harm, a min-max bound from the noninteracting levels skips the
+[1^3] solve when that block cannot reach the lowest k.
 """
 
 from __future__ import annotations
@@ -68,22 +71,18 @@ class OracleResult:
 
 
 def _eigsh_deterministic(h, k):
-    """Lowest k eigenpairs of a 3D block, deterministically.
+    """Lowest k eigenvalues of one S3 block, ascending, deterministically.
 
     Plain Lanczos: 3D operators fill in catastrophically under sparse
     LU, so shift-invert does not pay.  The start vector is fixed but
-    unstructured: a structured one can be near-orthogonal to members
-    of a degenerate multiplet and lose copies.
+    unstructured (a parity-even one misses every parity-odd level).  No
+    slack beyond k: no symmetry forces a degeneracy within one block.
     """
     n = h.shape[0]
     v0 = np.random.default_rng(2024).standard_normal(n)
-    # slack so degenerate multiplets (up to 6-fold in the inverse-square
-    # sector) are not truncated mid-cluster; the lowest k are returned
-    ks = min(k + 6, n - 1)
-    vals, vecs = spla.eigsh(h.tocsr(), k=ks, which="SA", v0=v0,
-                            maxiter=50 * n, tol=1e-10)
-    order = np.argsort(vals)[:k]
-    return vals[order], vecs[:, order]
+    return np.sort(spla.eigsh(h.tocsr(), k=k, which="SA", v0=v0,
+                              maxiter=50 * n, tol=1e-10,
+                              return_eigenvectors=False))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +296,7 @@ def _block_spectrum(spec: ModelSpec, grid: Grid1D, k: int):
         if bound and j == 2:
             need = np.count_nonzero(_fermion_sums(spec, grid, k, 4) <= vals[-1])
         if need:
-            new = np.repeat(_eigsh_deterministic(h, need)[0], copies)
+            new = np.repeat(_eigsh_deterministic(h, need), copies)
             vals = np.sort(np.r_[vals, new])[:k]
     return vals
 

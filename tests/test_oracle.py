@@ -242,7 +242,12 @@ class TestFullSpectrum3D:
         spec = request.getfixturevalue(f"spec_{model}")
         grid = Grid1D(-6.0, 6.0, 24)
         h, keep = cube_hamiltonian(spec, grid)
-        full, _ = _eigsh_deterministic(h[keep][:, keep], 10)
+        cube = h[keep][:, keep]
+        # the whole grid has exact S3 doublets, which blocks never see, so
+        # it needs its own slack: 16 levels asked, the lowest 10 kept
+        v0 = np.random.default_rng(2024).standard_normal(cube.shape[0])
+        full = np.sort(spla.eigsh(cube, k=16, which="SA", v0=v0, tol=1e-10,
+                                  return_eigenvectors=False))[:10]
         blocks = full_spectrum_3d(spec, grid, k=18).eigenvalues
         if model in MASKED:
             # Lanczos on the full grid can drop copies of a sixfold
@@ -274,10 +279,58 @@ class TestFullSpectrum3D:
         spec = ModelSpec(HarmonicTrap(1.0), HarmonicInteraction(gamma))
         grid = Grid1D(-6.0, 6.0, 12)
         every = np.sort(np.concatenate([
-            np.repeat(_eigsh_deterministic(h, -(-k // copies))[0], copies)
+            np.repeat(_eigsh_deterministic(h, -(-k // copies)), copies)
             for h, copies in _hamiltonian_3d(spec, grid)]))[:k]
         vals = full_spectrum_3d(spec, grid, k=k).eigenvalues
         np.testing.assert_allclose(vals, every, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k, calls", [
+        (4, [(364, 4, False), (572, 2, False)]),
+        (6, [(364, 6, False), (572, 3, False), (220, 2, False)])],
+        ids=("k4", "k6"))
+    def test_lanczos_asks_each_block_for_its_need(self, monkeypatch, k, calls):
+        # [3], then [21] (two copies), then [1^3] of the 12-point cube:
+        # ceil(k / copies) levels each, and no eigenvectors
+        asked, eigsh = [], spla.eigsh
+
+        def record(h, *args, **kwargs):
+            asked.append((h.shape[0], kwargs["k"],
+                          kwargs.get("return_eigenvectors", True)))
+            return eigsh(h, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", record)
+        spec = ModelSpec(HarmonicTrap(1.0), HarmonicInteraction(0.4))
+        full_spectrum_3d(spec, Grid1D(-6.0, 6.0, 12), k=k)
+        assert asked == calls
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("omega", [0.7, 1.3])
+    @pytest.mark.parametrize("interaction", [
+        HarmonicInteraction(0.0), HarmonicInteraction(0.4),
+        HarmonicInteraction(1.0), InverseSquareInteraction(0.5),
+        InverseSquareInteraction(1.0)],
+        ids=("hh0", "hh0.4", "hh1", "is0.5", "is1"))
+    def test_levels_match_the_dense_blocks(self, interaction, omega, n):
+        # no Lanczos slack, so near-degenerate clusters must not lose a
+        # member: the inverse-square levels eta + 2 nu + 3 j cluster and
+        # only the grid error splits them
+        spec = ModelSpec(HarmonicTrap(omega), interaction)
+        grid = Grid1D(-5.0, 5.0, n)
+        union = np.sort(np.concatenate([
+            np.repeat(np.linalg.eigvalsh(h.toarray()), copies)
+            for h, copies in _hamiltonian_3d(spec, grid)]))
+        for k in (1, 4, 6, 12, 20):
+            vals = full_spectrum_3d(spec, grid, k=k).eigenvalues
+            np.testing.assert_allclose(vals, union[:k], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("model", ["harm_harm", "calogero"])
+    def test_repeated_solves_are_bit_identical(self, model, request):
+        spec = request.getfixturevalue(f"spec_{model}")
+        grid = Grid1D(-6.0, 6.0, 12)
+        first = full_spectrum_3d(spec, grid, k=6).eigenvalues
+        oracle._kinetic_blocks.cache_clear()
+        again = full_spectrum_3d(spec, grid, k=6).eigenvalues
+        np.testing.assert_array_equal(again, first)
 
     def test_kinetic_blocks_are_built_once_per_grid(self):
         oracle._kinetic_blocks.cache_clear()
