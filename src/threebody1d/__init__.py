@@ -27,7 +27,7 @@ from .models import (
 from .grids import Grid1D, PolarGrid
 from .onebody import OneBodySpectrum, analytic_spectrum, grid_spectrum_1d
 from .jacobi import from_jacobi, parity_action, permutation_action, to_jacobi
-from .composition import compose_spectrum, detect_accidental
+from .composition import compose_spectrum
 from .solvable import (
     calogero_moser_spectrum,
     girardeau_wavefunction,

@@ -57,9 +57,9 @@ MODELS = tuple(MODEL_KINDS)
 CHECKS = ("oracle", "ladder", "invariants", "schmidt", "gold")
 # Widest energy window of ``spectrum`` and ``irreps``, in quanta of
 # hbar*omega.  The states in a window grow as the cube of its width: at
-# 250 quanta (omega = 1), on a 2-core host, ``spectrum`` takes 0.7-1.6 s
-# and 86-200 MB peak RSS for the four models, and ``irreps`` 4.1 s and
-# 110 MB (noninteracting) or 1.3 s and 230 MB (unitary contact).
+# 250 quanta (omega = 1), on a 2-core host, ``spectrum`` takes 0.3-0.6 s
+# and 78-146 MB peak RSS for the four models, and ``irreps`` 3.9 s and
+# 109 MB (noninteracting) or 1.0 s and 227 MB (unitary contact).
 MAX_WINDOW_QUANTA = 250
 
 

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import csv
-import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -173,36 +172,77 @@ def compose_spectrum(sigma1, e_max: float, tol_group: float | None = None):
             for a, b in zip(bounds, bounds[1:])]
 
 
-def detect_accidental(levels):
-    """Energies whose degeneracy exceeds the largest single-multiset class.
+def _rows_text(pieces, rows: int) -> str:
+    """The package's one table row writer: ``rows`` rows of ``pieces``,
+    each literal ``str`` text or a column ``(cells, codes)`` that writes
+    ``cells[codes[r]]`` in row r.  The distinct cells are encoded once as
+    zero-padded fixed-width ASCII (no cell may hold a NUL byte); blocks
+    of about 1 MB of rows gather them by code into a (rows, width) byte
+    matrix, and ``bytes.translate`` drops the pad bytes."""
+    cols = [(np.asarray([p], dtype=bytes), None) if isinstance(p, str)
+            else (np.asarray(p[0], dtype=bytes), p[1]) for p in pieces]
+    width = sum(cells.itemsize for cells, _ in cols)
+    step = max(1, (1 << 20) // width)
+    matrix, text = np.empty((min(step, rows), width), np.uint8), bytearray()
+    for a in range(0, rows, step):
+        m, at = matrix[:rows - a], 0
+        for cells, codes in cols:
+            # gather whole cells, then see them as bytes; a literal broadcasts
+            block = cells if codes is None else cells[codes[a:a + step]]
+            m[:, at:at + cells.itemsize] = block.view(np.uint8).reshape(
+                -1, cells.itemsize)
+            at += cells.itemsize
+        text += m.tobytes().translate(None, b"\0")
+    return text.decode("ascii")
 
-    Those are the candidate accidental (or emergent) degeneracies: the
-    permutation classes alone cannot account for them.
-    """
-    report = []
-    for lv in levels:
-        if lv.degeneracy > max(CLASS_SIZE[c] for c in lv.classes):
-            report.append({
-                "energy": lv.energy,
-                "degeneracy": lv.degeneracy,
-                "multisets": lv.multisets,
-            })
-    return report
+
+def _column(values, fmt=str):
+    """A column as ``(cells, codes)``.  Ints spanning fewer values than
+    rows are their own codes, into cells for 0, 1, ..., max, then min,
+    ..., -1 (a negative code counts from the end); other values are
+    formatted once per run of equal neighbours, so once each if sorted."""
+    v = np.asarray(values)
+    if v.dtype.kind == "i" and len(v):
+        lo, hi = min(int(v.min()), 0), max(int(v.max()), -1)
+        if hi - lo < len(v):
+            return list(map(fmt, [*range(hi + 1), *range(lo, 0)])), v
+    new = np.ones(len(v), dtype=bool)
+    new[1:] = v[1:] != v[:-1]
+    return list(map(fmt, v[new].tolist())), np.cumsum(new) - 1
 
 
-def _csv_text(header, rows) -> str:
-    """The package's one CSV table writer: a header row, then ``rows``."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+def _csv_text(header, columns, rows: int) -> str:
+    """The package's one CSV table: a header line, then ``rows`` rows of
+    ``columns`` (``(cells, codes)`` pairs, or a ``str`` for one cell in
+    every row), as ``csv.writer(lineterminator="\\n")`` writes them.
+    Raises ValueError for a cell that csv would quote, or with ``\\r``
+    (csv reads it as a line end) or a NUL byte."""
+    for cells in (header, *([col] if isinstance(col, str) else col[0]
+                            for col in columns)):
+        text = "".join(cells)
+        if (any(ch in text for ch in ',"\r\n\0')
+                or len(header) == 1 and "" in cells):
+            raise ValueError(f"a CSV cell needs quoting: {cells[:8]!r}")
+    pieces = [p for col in columns for p in (",", col)][1:]
+    return ",".join(header) + "\n" + _rows_text([*pieces, "\n"], rows)
 
 
 def levels_to_csv(levels) -> str:
-    """Columns: E, degeneracy, class_list, accidental."""
-    return _csv_text(["E", "degeneracy", "class_list", "accidental"], (
-        [repr(lv.energy), lv.degeneracy,
-         ";".join(f"{i}+{j}+{k}:{c}"
-                  for (i, j, k), c in zip(lv.multisets, lv.classes)),
-         int(lv.accidental)] for lv in levels))
+    """Columns: E, degeneracy, class_list, accidental.  Written one
+    multiset per row: a level's first opens with its E and degeneracy,
+    and each closes with ``;``, or the last with the accidental flag."""
+    chain = itertools.chain.from_iterable
+    sizes = np.array([len(lv.multisets) for lv in levels], dtype=int)
+    last, rows = np.cumsum(sizes) - 1, int(sizes.sum())
+    ijk = np.fromiter(chain(chain(lv.multisets for lv in levels)), np.int32,
+                      3 * rows).reshape(rows, 3)
+    tags = np.fromiter(map(CLASS_NAMES.index,
+                           chain(lv.classes for lv in levels)), np.int8, rows)
+    opens = np.full(rows, len(levels))
+    opens[last - sizes + 1] = np.arange(len(levels))
+    closes = np.zeros(rows, dtype=int)
+    closes[last] = [1 + lv.accidental for lv in levels]
+    return "E,degeneracy,class_list,accidental\n" + _rows_text([
+        ([f"{lv.energy!r},{lv.degeneracy}," for lv in levels] + [""], opens),
+        _column(ijk[:, 0]), "+", _column(ijk[:, 1]), "+", _column(ijk[:, 2]),
+        ":", (CLASS_NAMES, tags), ([";", ",0\n", ",1\n"], closes)], rows)

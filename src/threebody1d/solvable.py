@@ -14,9 +14,10 @@ pick the derived radical over the printed one:
 * Calogero-Moser: the angular exponent is
   alpha = (1 + sqrt(1 + 4 m gamma / hbar^2)) / 2 and the total energy is
   E = hbar omega [eta + 2 nu + |mu| + (3/2)(2 + sqrt(1 + 4 m gamma/hbar^2))]
-  with mu running over all integer multiples of 3.  In the gamma -> 0+
-  limit this reproduces the fermionized ground energy (9/2) hbar omega,
-  as the hard-wall picture requires.
+  with mu running over all integer multiples of 3, so the degeneracy
+  column of ``spectrum`` counts one state per (eta, nu, mu), mu signed.
+  In the gamma -> 0+ limit this reproduces the fermionized ground
+  energy (9/2) hbar omega, as the hard-wall picture requires.
 * unitary contact: Girardeau mapping; energies are sums over strictly
   increasing triples of one-body levels, each level carrying a
   six-dimensional ordering-sector degeneracy space.
@@ -35,6 +36,7 @@ import numpy as np
 
 from .composition import (
     GROUP_TOLERANCE,
+    _column,
     _csv_text,
     _triples,
     default_group_tolerance,
@@ -137,7 +139,9 @@ def cm_angular_exponent(gamma: float, *, mass: float = 1.0,
 
 def calogero_moser_spectrum(omega: float, gamma: float, e_max: float, *,
                             mass: float = 1.0, hbar: float = 1.0):
-    """Calogero-Moser levels with mu over all integer multiples of 3.
+    """Calogero-Moser levels with mu over all integer multiples of 3: one
+    state per (eta, nu, mu), mu signed, is what the degeneracy column
+    of ``spectrum`` counts.
 
     E = hbar*omega*(eta + 1/2) + hbar*omega*(2 nu + |mu| + 3 alpha + 1),
     i.e. the constant block is (3/2)(2 + sqrt(1 + 4 m gamma / hbar^2)).
@@ -321,13 +325,11 @@ def fit_cm_exponent(omega: float, gamma: float, *, mass: float = 1.0,
 # ---------------------------------------------------------------------------
 
 def _columns_csv(model: str, levels: LevelColumns, degeneracy) -> str:
-    """Columns: model, the three labels, energy, degeneracy.  Each
-    distinct energy is formatted once."""
-    new = np.diff(levels.energy, prepend=np.nan) != 0
-    text = np.array(list(map(repr, levels.energy[new].tolist())), dtype=object)
-    return _csv_text(["model", *levels.names, "energy", "degeneracy"], zip(
-        itertools.repeat(model), *levels.labels.T.tolist(),
-        text[np.cumsum(new) - 1].tolist(), degeneracy))
+    """Columns: model, the three labels, energy, degeneracy (a column, or
+    one cell for every row).  Each distinct value is formatted once."""
+    return _csv_text(["model", *levels.names, "energy", "degeneracy"], [
+        model, *map(_column, levels.labels.T), _column(levels.energy, repr),
+        degeneracy], len(levels))
 
 
 def silver_levels_to_csv(model: str, levels: LevelColumns) -> str:
@@ -337,7 +339,7 @@ def silver_levels_to_csv(model: str, levels: LevelColumns) -> str:
     (``composition.energy_runs`` at GROUP_TOLERANCE) within the record.
     """
     runs = np.diff(energy_runs(levels.energy, GROUP_TOLERANCE))
-    return _columns_csv(model, levels, np.repeat(runs, runs).tolist())
+    return _columns_csv(model, levels, _column(np.repeat(runs, runs)))
 
 
 def contact_levels_to_csv(levels: LevelColumns) -> str:
@@ -345,4 +347,4 @@ def contact_levels_to_csv(levels: LevelColumns) -> str:
 
     Every level is six-fold degenerate: one copy per ordering sector.
     """
-    return _columns_csv("unitary_contact", levels, itertools.repeat(6))
+    return _columns_csv("unitary_contact", levels, "6")

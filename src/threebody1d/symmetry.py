@@ -15,7 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .composition import GROUP_TOLERANCE, energy_runs
+from .composition import GROUP_TOLERANCE, _column, _rows_text, energy_runs
 from .errors import NonIntegerMultiplicity, NonInvariantSubspace
 from .jacobi import PERMUTATIONS, perm_compose, perm_sign
 
@@ -247,18 +247,21 @@ def decompositions_to_json(decompositions) -> str:
     """JSON export: [{"E": ..., "multiplicities": {irrep: m}}, ...].
 
     The text is ``json.dumps(rows, indent=2, sort_keys=True)`` byte for
-    byte; each distinct multiplicity block is formatted once.
+    byte; each distinct energy and multiplicity block is formatted once.
     """
-    blocks: dict = {}
-    rows = []
-    for e, mult in sorted(decompositions, key=lambda t: t[0]):
-        key = tuple(mult.items())
-        if key not in blocks:
-            blocks[key] = json.dumps(
-                {k: int(v) for k, v in key}, indent=2, sort_keys=True
-            ).replace("\n", "\n    ")
-        e = float(e)  # json writes a finite float as its repr
-        text = repr(e) if math.isfinite(e) else json.dumps(e)
-        rows.append(f'  {{\n    "E": {text},\n'
-                    f'    "multiplicities": {blocks[key]}\n  }}')
-    return "[\n" + ",\n".join(rows) + "\n]" if rows else "[]"
+    ordered = sorted(decompositions, key=lambda t: t[0])
+    blocks: dict = {}  # multiplicity items -> code
+    codes = [blocks.setdefault(tuple(mult.items()), len(blocks))
+             for _, mult in ordered]
+    text = _rows_text([
+        '  {\n    "E": ',
+        # json writes a finite float as its repr
+        _column(np.array([float(e) for e, _ in ordered]),
+                lambda e: repr(e) if math.isfinite(e) else json.dumps(e)),
+        ',\n    "multiplicities": ',
+        # a block as json.dumps(..., indent=2, sort_keys=True) writes it
+        (["{\n      " + ",\n      ".join(f"{json.dumps(k)}: {int(v)}"
+                                        for k, v in sorted(key)) + "\n    }"
+          if key else "{}" for key in blocks], codes),
+        "\n  },\n"], len(ordered))
+    return "[\n" + text[:-2] + "\n]" if ordered else "[]"

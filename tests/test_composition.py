@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from collections import Counter
 from itertools import permutations
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 
 from threebody1d.composition import (
     CLASS_SIZE,
+    _column,
+    _csv_text,
     _triples,
     compose_spectrum,
-    detect_accidental,
     energy_cutoff,
     energy_runs,
     levels_to_csv,
@@ -132,7 +135,7 @@ class TestHarmonic:
 
     def test_accidental_report(self, harmonic_sigma1):
         levels = compose_spectrum(harmonic_sigma1, 6.6)
-        flagged = {round(r["energy"], 6) for r in detect_accidental(levels)}
+        flagged = {round(lv.energy, 6) for lv in levels if lv.accidental}
         assert flagged == {3.5, 4.5, 5.5, 6.5}
 
 
@@ -153,7 +156,7 @@ class TestWell:
             multis = {tuple(sorted(t)) for ee, t in ordered if round(ee, 9) == e}
             if len(multis) > 1:
                 expected_flags.add(e)
-        got_flags = {round(r["energy"], 9) for r in detect_accidental(levels)}
+        got_flags = {round(lv.energy, 9) for lv in levels if lv.accidental}
         assert got_flags == expected_flags
         # 54/2 = 27: three distinct multisets coincide there
         assert 27.0 in got_flags
@@ -171,7 +174,7 @@ class TestGeneric:
         rng = np.random.default_rng(11)
         eps = np.cumsum(rng.uniform(0.5, 1.5, 30))
         levels = compose_spectrum(eps, eps[0] * 2 + eps[12])
-        assert detect_accidental(levels) == []
+        assert not any(lv.accidental for lv in levels)
         assert all(len(lv.multisets) == 1 for lv in levels)
 
     def test_window_keeps_group_straddling_cutoff(self):
@@ -241,6 +244,56 @@ def test_csv_export(harmonic_sigma1):
     assert lines[0] == "E,degeneracy,class_list,accidental"
     assert lines[1] == "1.5,1,0+0+0:nondegenerate,0"
     assert lines[3].endswith(",1")  # accidental level
+
+
+# cells of any ASCII but NUL, the writer's pad byte
+WORDS = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=4)
+INTS = st.one_of(st.integers(-3, 3), st.integers(-10**12, 10**12))
+
+
+@given(data=st.data(), rows=st.integers(0, 8), width=st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_csv_text_is_csv_writer_or_refuses(data, rows, width):
+    # int columns through _column; word columns coded by first use
+    header = data.draw(st.lists(WORDS, min_size=width, max_size=width))
+    columns, table = [], []
+    for _ in range(width):
+        if data.draw(st.booleans()):
+            values = data.draw(st.lists(INTS, min_size=rows, max_size=rows))
+            columns.append(_column(values))
+        else:
+            values = data.draw(st.lists(WORDS, min_size=rows, max_size=rows))
+            cells = list(dict.fromkeys(values))
+            columns.append((cells, np.array([cells.index(v) for v in values],
+                                            dtype=int)))
+        table.append(values)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *zip(*table)])
+    plain = "".join(",".join(map(str, row)) + "\n"
+                    for row in [header, *zip(*table)])
+    # csv.writer leaves a \r unquoted, but its reader ends a line there
+    if buf.getvalue() == plain and "\r" not in plain:
+        assert _csv_text(header, columns, rows) == plain
+    else:
+        with pytest.raises(ValueError):
+            _csv_text(header, columns, rows)
+
+
+@pytest.mark.parametrize("cell", ["a,b", 'a"b', "a\rb", "a\nb"])
+def test_csv_text_refuses_a_cell_that_needs_quoting(cell):
+    assert _csv_text(["x", "y"], ["a", _column([1])], 1) == "x,y\na,1\n"
+    for header, columns in ((["x", "y"], [([cell], [0]), _column([1])]),
+                            (["x", "y"], [cell, _column([1])]),
+                            (["x", cell], ["a", _column([1])])):
+        with pytest.raises(ValueError):
+            _csv_text(header, columns, 1)
+
+
+def test_csv_text_with_no_rows_is_its_header():
+    empty = np.zeros(0, dtype=int)
+    assert _csv_text(["E", "n"], [([], empty), _column(empty)], 0) \
+        == "E,n\n"
+    assert levels_to_csv([]) == "E,degeneracy,class_list,accidental\n"
 
 
 # one-body gaps: ordinary ones, and ones at or below the grouping widths

@@ -10,11 +10,13 @@ from threebody1d.composition import (
     GROUP_TOLERANCE,
     compose_spectrum,
     energy_cutoff,
+    energy_runs,
 )
 from threebody1d.errors import GridResolutionTooCoarse, TruncationRisk
 from threebody1d.grids import Grid1D, PolarGrid
 from threebody1d.models import HarmonicTrap
 from threebody1d.onebody import analytic_spectrum, grid_orbitals_1d
+from threebody1d.oracle import relative_spectrum_2d
 from threebody1d.solvable import (
     LevelColumns,
     bosonic_amplitudes,
@@ -149,6 +151,23 @@ class TestCalogeroMoser:
     def test_requires_positive_gamma(self):
         with pytest.raises(ValueError):
             calogero_moser_spectrum(1.0, 0.0, 5.0)
+
+    def test_degeneracy_column_counts_signed_mu_not_sector_states(
+            self, spec_calogero):
+        # The polar sector oracle has one relative level per (nu, j >= 0)
+        # at 2 nu + 3 j + 3 alpha + 1; with the center of mass eta the
+        # lowest four levels hold 1, 1, 2, 3 states per ordering sector.
+        rel = relative_spectrum_2d(spec_calogero, k=8).eigenvalues
+        total = np.add.outer(np.arange(4) + 0.5, rel).ravel()
+        steps = total - total.min()
+        assert np.abs(steps - np.rint(steps)).max() < 0.05
+        assert np.bincount(np.rint(steps).astype(int))[:4].tolist() == [
+            1, 1, 2, 3]
+        # the shipped column counts (eta, nu, mu) with mu over signed
+        # multiples of 3: mu = +-3 makes the fourth level twofold in mu
+        levels = calogero_moser_spectrum(1.0, 1.0, 9.5)
+        runs = np.diff(energy_runs(levels.energy, GROUP_TOLERANCE))
+        assert runs.tolist() == [1, 1, 2, 4]
 
 
 class TestUnitaryContact:

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 from itertools import permutations
 
 import numpy as np
@@ -288,6 +290,16 @@ class TestTowers:
             energies = [e for e, _ in rows]
             assert energies == sorted(set(energies))
         assert sum(m for _, m in towers["[3]"]) == len(levels)
+
+    @given(st.lists(st.tuples(
+        st.one_of(st.floats(-50, 50), st.sampled_from([0.5, 1.5, math.inf])),
+        st.dictionaries(st.sampled_from(["[3]", "[21]", "[1^3]"]) | st.text(),
+                        st.integers(-9, 9))), max_size=8))
+    def test_json_export_is_json_dumps(self, decomps):
+        rows = [{"E": e, "multiplicities": m}
+                for e, m in sorted(decomps, key=lambda t: t[0])]
+        assert decompositions_to_json(decomps) == json.dumps(
+            rows, indent=2, sort_keys=True)
 
     def test_json_export(self):
         g = build_group("S3")
