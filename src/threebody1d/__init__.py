@@ -35,7 +35,7 @@ from .solvable import (
     unitary_contact_spectrum,
 )
 from .symmetry import (
-    build_group,
+    S3,
     decompose_eigenspace,
     irrep_towers,
 )

@@ -42,7 +42,7 @@ from .solvable import (
     unitary_contact_spectrum,
 )
 from .symmetry import (
-    build_group,
+    S3,
     decompose_eigenspace,
     decompositions_to_json,
     irrep_towers,
@@ -78,7 +78,7 @@ def _require_omega(spec):
 
 def _check_window(spec, emax):
     """Refuse a window wider than MAX_WINDOW_QUANTA before enumerating it."""
-    quanta = emax / (spec.hbar * _require_omega(spec))
+    quanta = emax / (spec.hbar * spec.trap.omega)
     if quanta > MAX_WINDOW_QUANTA:
         raise ConfigError(
             f"--emax {emax:g} is {quanta:g} quanta of hbar*omega, above the "
@@ -88,17 +88,21 @@ def _check_window(spec, emax):
 def _one_body(spec, emax, floor):
     """Harmonic one-body levels, enough to fill a window of triples up to
     emax; at least ``floor + 1`` of them."""
-    omega = _require_omega(spec)
     return analytic_spectrum(
-        spec.trap, max(floor, int(emax / (spec.hbar * omega)) + 2),
+        spec.trap, max(floor, int(emax / (spec.hbar * spec.trap.omega)) + 2),
         mass=spec.mass, hbar=spec.hbar)
 
 
 def _load_model(args, supported=MODELS):
     """The config of a ``spectrum`` or ``irreps`` command, checked in
-    order: the window, the model the command supports, the interaction
-    kind the model needs (``MODEL_KINDS``), a unitary contact."""
+    order: a harmonic trap (the commands are its closed forms; a shifted
+    ``quadratic`` parabola is refused), the window, the model the command
+    supports, the interaction kind the model needs (``MODEL_KINDS``), a
+    unitary contact."""
     spec = load_config(args.config)
+    if spec.trap.kind != "harmonic":
+        raise ConfigError(f"{args.command} needs trap.kind = harmonic, "
+                          f"got {spec.trap.kind!r}")
     _check_window(spec, args.emax)
     if args.model not in supported:
         raise ConfigError(f"{args.command} supports {' and '.join(supported)}, "
@@ -119,7 +123,7 @@ def _spectrum_csv(spec, model, emax):
     if model == "unitary-contact":
         return contact_levels_to_csv(
             unitary_contact_spectrum(_one_body(spec, emax, 8), emax))
-    omega, gamma = spec.effective_omega(), spec.interaction.gamma
+    omega, gamma = spec.trap.omega, spec.interaction.gamma
     if model == "harm-harm":
         levels = harm_harm_spectrum(omega, gamma, emax, mass=spec.mass,
                                     hbar=spec.hbar)
@@ -142,17 +146,16 @@ def cmd_spectrum(args) -> int:
 
 def cmd_irreps(args) -> int:
     spec = _load_model(args, ("noninteracting", "unitary-contact"))
-    group = build_group("S3")
     if args.model == "unitary-contact":
         # every level carries the same six-sector (regular) representation
-        regular = decompose_eigenspace(group, sector_permutation_rep(group))
+        regular = decompose_eigenspace(S3, sector_permutation_rep())
         decomps = [(e, regular) for e in unitary_contact_spectrum(
             _one_body(spec, args.emax, 8), args.emax).energy.tolist()]
     else:
         decomps = []
         for lv in compose_spectrum(_one_body(spec, args.emax, 4), args.emax):
-            perm, _ = orbit_rep_for_multisets(lv.multisets, group)
-            decomps.append((lv.energy, decompose_eigenspace(group, perm)))
+            perm, _ = orbit_rep_for_multisets(lv.multisets)
+            decomps.append((lv.energy, decompose_eigenspace(S3, perm)))
     towers = irrep_towers(decomps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -307,7 +310,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code = args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NonIntegerMultiplicity as exc:

@@ -279,7 +279,6 @@ class SeparabilityVerdict:
     grade: str  # gold | silver | bronze | none
     witness: str | None  # system witnessing the grade
     sector_solvable: bool = False
-    notes: tuple = ()
 
     @property
     def separable_systems(self):
@@ -299,11 +298,8 @@ def classify_separability(spec: ModelSpec) -> SeparabilityVerdict:
     quad = spec.trap.kind in ("harmonic", "quadratic", "none")
 
     if kind == "contact" and spec.interaction.unitary:
-        return SeparabilityVerdict(
-            systems, "none", None, sector_solvable=True,
-            notes=("unitary contact: solvable through ordering sectors, "
-                   "not through a separable coordinate system",),
-        )
+        # solvable through ordering sectors, not a separable system
+        return SeparabilityVerdict(systems, "none", None, sector_solvable=True)
 
     if kind == "none":
         if spec.trap.kind == "custom_tabulated":
@@ -312,11 +308,6 @@ def classify_separability(spec: ModelSpec) -> SeparabilityVerdict:
         if harm:
             for s in _HARMONIC_FREE_SEPARABLE:
                 systems[s] = True
-            return SeparabilityVerdict(
-                systems, "gold", "rectangular",
-                notes=("8 of 11 systems separate for the isotropic "
-                       "harmonic trap; spherical is a bronze witness",),
-            )
         return SeparabilityVerdict(systems, "gold", "rectangular")
 
     if kind == "harmonic" and quad:
@@ -349,7 +340,9 @@ def classify_symmetry_group(spec: ModelSpec) -> SymmetryClassification:
     Particle permutations always survive.  A parity-symmetric trap adds
     total inversion; a harmonic-like trap additionally makes relative
     parity good on its own, because center-of-mass and relative motion
-    decouple.
+    decouple.  The point-group names C3v, D3d and D6h are labels only:
+    nothing decomposes under them, and ``symmetry.S3`` is the one group
+    the package builds.
     """
     if spec.harmonic_like:
         return SymmetryClassification(
@@ -471,5 +464,11 @@ def parse_config(text: str) -> ModelSpec:
 
 
 def load_config(path) -> ModelSpec:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """The ModelSpec of a config file; a file that is not UTF-8 text is a
+    ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_config(text)

@@ -249,8 +249,6 @@ def girardeau_wavefunction(base, amplitudes, orbitals: np.ndarray,
 class CoefficientFit:
     """Outcome of fitting oracle levels to a closed-form level pattern."""
 
-    model: str
-    gamma: float
     fitted: float  # omega_rel, or the angular exponent alpha
     candidates: dict  # name -> candidate value
     winner: str
@@ -287,7 +285,7 @@ def fit_harm_harm_frequency(omega: float, gamma: float, *,
         "derived_6g_over_m": relative_frequency(omega, gamma, mass),
     }
     winner = min(candidates, key=lambda k: abs(candidates[k] - w_fit))
-    return CoefficientFit("harm_harm", gamma, w_fit, candidates, winner, resid)
+    return CoefficientFit(w_fit, candidates, winner, resid)
 
 
 def fit_cm_exponent(omega: float, gamma: float, *, mass: float = 1.0,
@@ -316,8 +314,7 @@ def fit_cm_exponent(omega: float, gamma: float, *, mass: float = 1.0,
         "derived_4mg": cm_angular_exponent(gamma, mass=mass, hbar=hbar),
     }
     winner = min(candidates, key=lambda k: abs(candidates[k] - alpha_fit))
-    return CoefficientFit("calogero_moser", gamma, alpha_fit, candidates,
-                          winner, resid)
+    return CoefficientFit(alpha_fit, candidates, winner, resid)
 
 
 # ---------------------------------------------------------------------------

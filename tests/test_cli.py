@@ -25,6 +25,7 @@ GOLDEN = Path(__file__).parent / "golden"
 EMAX = "12"
 MODELS = ("noninteracting", "harm-harm", "calogero", "unitary-contact")
 TRAP = "trap.kind = harmonic\ntrap.omega = 1.0\n"
+QUADRATIC = "trap.kind = quadratic\ntrap.A = 0.5\ntrap.B = 0.3\ntrap.C = 1\n"
 CONFIGS = {
     "noninteracting": TRAP,
     "harm-harm": TRAP + "interaction.kind = harmonic\ninteraction.gamma = 0.5\n",
@@ -200,6 +201,28 @@ def test_gold_check_without_harmonic_trap_exits_2(config, tmp_path):
 def test_missing_config_exits_2(tmp_path):
     code, _ = run("classify", "--config", tmp_path / "absent.cfg")
     assert code == 2
+
+
+@pytest.mark.parametrize("case", ["config_is_a_directory",
+                                  "config_not_utf8", "out_is_a_file"])
+def test_unreadable_input_exits_2_with_one_line(case, configs, tmp_path):
+    config, out = configs["noninteracting"], tmp_path / "out"
+    if case == "config_is_a_directory":
+        config = tmp_path
+    elif case == "config_not_utf8":
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes(TRAP.encode() + b"# caf\xe9\n")
+    else:
+        out.write_text("not a directory\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["spectrum", "--config", str(config), "--model",
+                         "noninteracting", "--emax", EMAX, "--out", str(out)])
+    assert code == 2
+    assert err.getvalue().startswith("config error: ")
+    assert err.getvalue().count("\n") == 1
+    assert out.is_file() == (case == "out_is_a_file")
+    assert not out.is_dir()
 
 
 def test_model_mismatching_config_exits_2(configs, tmp_path):
@@ -383,7 +406,18 @@ def test_closed_form_commands_do_not_load_scipy(configs, tmp_path,
     ("irreps", "harm-harm", CONFIGS["harm-harm"],
      "config error: irreps supports noninteracting and unitary-contact, "
      "got 'harm-harm'"),
-], ids=["spectrum_finite_contact", "irreps_finite_contact", "irreps_harm_harm"])
+    # the closed forms leave out a shifted parabola's offset C - B^2/4A
+    ("spectrum", "harm-harm", QUADRATIC + "interaction.kind = harmonic\n"
+                                          "interaction.gamma = 0.5\n",
+     "config error: spectrum needs trap.kind = harmonic, got 'quadratic'"),
+    ("spectrum", "noninteracting", QUADRATIC,
+     "config error: spectrum needs trap.kind = harmonic, got 'quadratic'"),
+    ("irreps", "unitary-contact", QUADRATIC + "interaction.kind = contact\n"
+                                              "interaction.gamma = unitary\n",
+     "config error: irreps needs trap.kind = harmonic, got 'quadratic'"),
+], ids=["spectrum_finite_contact", "irreps_finite_contact", "irreps_harm_harm",
+        "spectrum_quadratic_harm_harm", "spectrum_quadratic_noninteracting",
+        "irreps_quadratic_unitary_contact"])
 def test_model_the_config_or_command_cannot_run_exits_2(command, model, text,
                                                         message, tmp_path):
     path = tmp_path / "model.cfg"

@@ -15,7 +15,7 @@ from threebody1d.onebody import analytic_spectrum
 from threebody1d.composition import compose_spectrum, multiset_class
 from threebody1d.solvable import unitary_contact_spectrum
 from threebody1d.symmetry import (
-    build_group,
+    S3,
     decompose_eigenspace,
     decompositions_to_json,
     irrep_towers,
@@ -41,14 +41,14 @@ def as_matrices(perm):
     return mats
 
 
-def loop_orbit_rep(multisets, group):
+def loop_orbit_rep(multisets):
     """Reference for ``orbit_rep_for_multisets``: one lambda call per
     (element, triple)."""
     triples = tuple(sorted({t for ms in multisets for t in permutations(ms)}))
     index = {t: i for i, t in enumerate(triples)}
     image = lambda p, t: tuple(t[p.index(b)] for b in (1, 2, 3))  # noqa: E731
-    mats = np.zeros((group.order, len(triples), len(triples)))
-    for gi, p in enumerate(group.elements):
+    mats = np.zeros((S3.order, len(triples), len(triples)))
+    for gi, p in enumerate(S3.elements):
         for i, t in enumerate(triples):
             mats[gi, index[image(p, t)], i] = 1.0
     return mats, triples
@@ -97,45 +97,30 @@ def outcome(decompose, group, rep):
 
 
 class TestGroups:
-    @pytest.mark.parametrize("name,order", [("S3", 6), ("D3d", 12), ("D6h", 24)])
-    def test_orders(self, name, order):
-        g = build_group(name)
+    @pytest.mark.parametrize("g, order", [pytest.param(S3, 6, id="S3-6")])
+    def test_orders(self, g, order):
         assert g.order == order
         assert sum(d * d for d in g.dims.values()) == order
+        # closure and cancellation: every row and column is a permutation
+        assert (np.sort(g.table, axis=0) == np.arange(order)[:, None]).all()
+        assert (np.sort(g.table, axis=1) == np.arange(order)).all()
 
     def test_s3_irrep_dimensions(self):
-        g = build_group("S3")
-        assert g.dims == {"[3]": 1, "[21]": 2, "[1^3]": 1}
+        assert S3.dims == {"[3]": 1, "[21]": 2, "[1^3]": 1}
 
     def test_character_orthogonality_exact(self):
-        for name in ("S3", "D3d", "D6h"):
-            g = build_group(name)
-            labels = list(g.irreps)
-            for a in labels:
-                for b in labels:
-                    dot = int(np.dot(g.irreps[a], g.irreps[b]))
-                    assert dot == (g.order if a == b else 0)
-
-    def test_s3_classes(self):
-        g = build_group("S3")
-        sizes = sorted(len(c) for c in g.classes)
-        assert sizes == [1, 2, 3]
+        labels = list(S3.irreps)
+        for a in labels:
+            for b in labels:
+                dot = int(np.dot(S3.irreps[a], S3.irreps[b]))
+                assert dot == (S3.order if a == b else 0)
 
     def test_21_characters_from_geometric_blocks(self):
         # traces of the explicit orthogonal 2x2 matrices acting on (q2, q3)
-        g = build_group("S3")
         blocks = J.p3_relative_blocks()
-        chi = g.irreps["[21]"]
-        for i, p in enumerate(g.elements):
+        chi = S3.irreps["[21]"]
+        for i, p in enumerate(S3.elements):
             assert np.trace(blocks[p]) == pytest.approx(chi[i], abs=1e-12)
-
-    def test_d3d_is_s3_times_z2(self):
-        g = build_group("D3d")
-        assert all(isinstance(e, tuple) and e[1] in (1, -1) for e in g.elements)
-        # the parity-odd totally symmetric irrep flips sign on odd elements
-        chi = g.irreps["[3]-"]
-        for i, (perm, s) in enumerate(g.elements):
-            assert chi[i] == (1 if s == 1 else -1)
 
 
 class TestRepresentations:
@@ -148,25 +133,22 @@ class TestRepresentations:
 
 class TestDecomposition:
     def test_regular_rep_content(self):
-        g = build_group("S3")
         perm = sector_permutation_rep()
-        mult = decompose_eigenspace(g, perm)
+        mult = decompose_eigenspace(S3, perm)
         assert mult == {"[3]": 1, "[21]": 2, "[1^3]": 1}
-        assert dense_decompose(g, as_matrices(perm).astype(complex)) == mult
+        assert dense_decompose(S3, as_matrices(perm).astype(complex)) == mult
 
     def test_threefold_space(self):
-        g = build_group("S3")
-        perm, _ = orbit_rep_for_multisets([(0, 0, 1)], g)
-        mult = decompose_eigenspace(g, perm)
+        perm, _ = orbit_rep_for_multisets([(0, 0, 1)])
+        mult = decompose_eigenspace(S3, perm)
         assert mult == {"[3]": 1, "[21]": 1, "[1^3]": 0}
-        assert dense_decompose(g, as_matrices(perm).astype(complex)) == mult
+        assert dense_decompose(S3, as_matrices(perm).astype(complex)) == mult
 
     def test_singlet_space(self):
-        g = build_group("S3")
-        perm, _ = orbit_rep_for_multisets([(0, 0, 0)], g)
-        mult = decompose_eigenspace(g, perm)
+        perm, _ = orbit_rep_for_multisets([(0, 0, 0)])
+        mult = decompose_eigenspace(S3, perm)
         assert mult == {"[3]": 1, "[21]": 0, "[1^3]": 0}
-        assert dense_decompose(g, as_matrices(perm).astype(complex)) == mult
+        assert dense_decompose(S3, as_matrices(perm).astype(complex)) == mult
 
     @settings(max_examples=60, deadline=None)
     @given(st.sets(st.tuples(*[st.integers(0, 8)] * 3).map(sorted).map(tuple),
@@ -174,42 +156,39 @@ class TestDecomposition:
     def test_multiplicities_equal_class_table(self, multisets):
         # the character of the permutation representation on the orbits
         # of distinct multisets is the sum of the class table over them
-        g = build_group("S3")
-        perm, _ = orbit_rep_for_multisets(multisets, g)
-        expected = dict.fromkeys(g.irreps, 0)
+        perm, _ = orbit_rep_for_multisets(multisets)
+        expected = dict.fromkeys(S3.irreps, 0)
         for ms in multisets:
             for mu, m in CLASS_TABLE[multiset_class(ms)].items():
                 expected[mu] += m
-        assert decompose_eigenspace(g, perm) == expected
+        assert decompose_eigenspace(S3, perm) == expected
 
     def test_non_integer_character_raises(self):
         # a representation checked against characters that are not the
         # group's: the table holds, but m_[3] = 3/6 is not an integer
-        g = build_group("S3")
-        perm, _ = orbit_rep_for_multisets([(0, 0, 1)], g)
-        identity_only = (np.arange(6) == g.index((1, 2, 3))).astype(int)
-        wrong = dataclasses.replace(g, irreps={**g.irreps, "[3]": identity_only})
+        perm, _ = orbit_rep_for_multisets([(0, 0, 1)])
+        identity_only = (np.array(S3.elements) == (1, 2, 3)).all(1).astype(int)
+        wrong = dataclasses.replace(S3, irreps={**S3.irreps,
+                                                "[3]": identity_only})
         with pytest.raises(NonIntegerMultiplicity, match="not an integer"):
             decompose_eigenspace(wrong, perm)
 
     def test_corrupted_permutation_index_raises(self):
-        g = build_group("S3")
-        perm, triples = orbit_rep_for_multisets([(0, 1, 2)], g)
-        p = g.index((2, 1, 3))
+        perm, triples = orbit_rep_for_multisets([(0, 1, 2)])
+        p = S3.elements.index((2, 1, 3))
         col = triples.index((0, 1, 2))
         perm[p, col] = (perm[p, col] + 1) % 6
-        assert not is_homomorphism(g, as_matrices(perm))
+        assert not is_homomorphism(S3, as_matrices(perm))
         # the exact check, on the index arrays themselves, raises
         with pytest.raises(NonIntegerMultiplicity, match="multiplication table"):
-            decompose_eigenspace(g, perm)
+            decompose_eigenspace(S3, perm)
 
     @settings(max_examples=150, deadline=None)
     @given(MULTISETS.filter(bool), st.data())
     def test_exact_check_agrees_with_dense(self, multisets, data):
         # a permutation representation with its points relabelled and up
         # to two indices overwritten: any one-per-column 0/1 set
-        g = build_group("S3")
-        perm, _ = orbit_rep_for_multisets(multisets, g)
+        perm, _ = orbit_rep_for_multisets(multisets)
         d = perm.shape[1]
         sigma = np.array(data.draw(st.permutations(range(d))))
         perm = sigma[perm[:, np.argsort(sigma)]]
@@ -219,18 +198,17 @@ class TestDecomposition:
                      st.integers(0, d - 1))
         mats = as_matrices(perm)
         assert np.array_equal(mats.argmax(axis=1), perm)
-        fast = outcome(decompose_eigenspace, g, perm)
-        dense = outcome(dense_decompose, g, mats)
+        fast = outcome(decompose_eigenspace, S3, perm)
+        dense = outcome(dense_decompose, S3, mats)
         assert fast == dense
         table_error = isinstance(fast, tuple) and "table" in fast[1]
-        assert is_homomorphism(g, mats) != table_error
+        assert is_homomorphism(S3, mats) != table_error
 
     def test_dimension_bookkeeping(self, harmonic_sigma1):
-        g = build_group("S3")
         for lv in compose_spectrum(harmonic_sigma1, 6.6):
-            perm, triples = orbit_rep_for_multisets(lv.multisets, g)
-            mult = decompose_eigenspace(g, perm)
-            total = sum(m * g.dims[mu] for mu, m in mult.items())
+            perm, triples = orbit_rep_for_multisets(lv.multisets)
+            mult = decompose_eigenspace(S3, perm)
+            total = sum(m * S3.dims[mu] for mu, m in mult.items())
             assert total == lv.degeneracy == len(triples)
 
 
@@ -238,50 +216,44 @@ class TestPermutationMatrices:
     @settings(max_examples=150, deadline=None)
     @given(MULTISETS)
     def test_orbit_rep_equals_loop_reference(self, multisets):
-        g = build_group("S3")
-        perm, triples = orbit_rep_for_multisets(multisets, g)
+        perm, triples = orbit_rep_for_multisets(multisets)
         assert perm.dtype.kind == "i" and perm.shape == (6, len(triples))
         mats = as_matrices(perm)
-        ref_mats, ref_triples = loop_orbit_rep(multisets, g)
+        ref_mats, ref_triples = loop_orbit_rep(multisets)
         assert triples == ref_triples
         assert mats.dtype == ref_mats.dtype and mats.shape == ref_mats.shape
         assert np.array_equal(mats, ref_mats)
 
     def test_empty_space_has_no_content(self):
-        g = build_group("S3")
-        perm, triples = orbit_rep_for_multisets([], g)
+        perm, triples = orbit_rep_for_multisets([])
         assert perm.shape == (6, 0) and triples == ()
-        assert decompose_eigenspace(g, perm) == dict.fromkeys(g.irreps, 0)
+        assert decompose_eigenspace(S3, perm) == dict.fromkeys(S3.irreps, 0)
 
     def test_sector_rep_is_the_multiplication_table(self):
-        g = build_group("S3")
-        assert np.array_equal(sector_permutation_rep(g), g.table)
+        assert np.array_equal(sector_permutation_rep(), S3.table)
 
 
 class TestTowers:
     def test_noninteracting_towers(self, harmonic_sigma1):
-        g = build_group("S3")
         decomps = []
         for lv in compose_spectrum(harmonic_sigma1, 6.6):
-            perm, _ = orbit_rep_for_multisets(lv.multisets, g)
-            decomps.append((lv.energy, decompose_eigenspace(g, perm)))
+            perm, _ = orbit_rep_for_multisets(lv.multisets)
+            decomps.append((lv.energy, decompose_eigenspace(S3, perm)))
         towers = irrep_towers(decomps)
         assert towers["[3]"][0][0] == pytest.approx(1.5)
         assert towers["[1^3]"][0][0] == pytest.approx(4.5)
 
     def test_unitary_contact_towers(self, harmonic_sigma1):
-        g = build_group("S3")
         mats = as_matrices(sector_permutation_rep()).astype(complex)
         energies = unitary_contact_spectrum(harmonic_sigma1, 7.6).energy
-        decomps = [(e, dense_decompose(g, mats)) for e in energies.tolist()]
+        decomps = [(e, dense_decompose(S3, mats)) for e in energies.tolist()]
         towers = irrep_towers(decomps)
         # Bose-Fermi degeneracy at unitarity
         assert towers["[3]"][0][0] == pytest.approx(4.5)
         assert towers["[1^3]"][0][0] == pytest.approx(4.5)
 
     def test_unitary_contact_towers_one_row_per_energy(self, harmonic_sigma1):
-        g = build_group("S3")
-        regular = decompose_eigenspace(g, sector_permutation_rep())
+        regular = decompose_eigenspace(S3, sector_permutation_rep())
         levels = unitary_contact_spectrum(harmonic_sigma1, 12.0)
         towers = irrep_towers([(e, regular) for e in levels.energy.tolist()])
         # E = 7.5 has the three bases (0,1,5), (0,2,4) and (1,2,3)
@@ -302,8 +274,7 @@ class TestTowers:
             rows, indent=2, sort_keys=True)
 
     def test_json_export(self):
-        g = build_group("S3")
-        mult = decompose_eigenspace(g, sector_permutation_rep())
+        mult = decompose_eigenspace(S3, sector_permutation_rep())
         text = decompositions_to_json([(4.5, mult)])
         assert '"E": 4.5' in text
         assert '"[21]": 2' in text
