@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
-Exit codes: 0 success, 1 internal failure, 2 config error, 3 check
-failure.  Every output directory receives exactly one manifest.json;
-all other outputs are byte-identical across reruns with the same
-config.
+Exit codes: 0 success, 1 internal failure, 2 config or output error,
+3 check failure.  Every output directory receives exactly one
+manifest.json; all other outputs are byte-identical across reruns with
+the same config.
 
 ``MODEL_KINDS`` is the one table of the models ``spectrum`` and
 ``irreps`` take: each ``--model`` runs only on a config whose
@@ -46,7 +46,7 @@ from .symmetry import (
     decompose_eigenspace,
     decompositions_to_json,
     irrep_towers,
-    orbit_rep_for_multisets,
+    orbit_reps,
     sector_permutation_rep,
 )
 
@@ -58,8 +58,8 @@ CHECKS = ("oracle", "ladder", "invariants", "schmidt", "gold")
 # Widest energy window of ``spectrum`` and ``irreps``, in quanta of
 # hbar*omega.  The states in a window grow as the cube of its width: at
 # 250 quanta (omega = 1), on a 2-core host, ``spectrum`` takes 0.3-0.6 s
-# and 78-146 MB peak RSS for the four models, and ``irreps`` 3.9 s and
-# 109 MB (noninteracting) or 1.0 s and 227 MB (unitary contact).
+# and 78-146 MB peak RSS for the four models, and ``irreps`` 1.2-1.5 s and
+# 109-112 MB (noninteracting) or 0.9 s and 209 MB (unitary contact).
 MAX_WINDOW_QUANTA = 250
 
 
@@ -152,10 +152,10 @@ def cmd_irreps(args) -> int:
         decomps = [(e, regular) for e in unitary_contact_spectrum(
             _one_body(spec, args.emax, 8), args.emax).energy.tolist()]
     else:
-        decomps = []
-        for lv in compose_spectrum(_one_body(spec, args.emax, 4), args.emax):
-            perm, _ = orbit_rep_for_multisets(lv.multisets)
-            decomps.append((lv.energy, decompose_eigenspace(S3, perm)))
+        # one exact decomposition of each level's whole orbit representation
+        levels = compose_spectrum(_one_body(spec, args.emax, 4), args.emax)
+        decomps = [(lv.energy, decompose_eigenspace(S3, perm)) for lv, perm
+                   in zip(levels, orbit_reps(lv.multisets for lv in levels))]
     towers = irrep_towers(decomps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -310,8 +310,11 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code = args.func(args)
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except NonIntegerMultiplicity as exc:
         print(f"check failure: {exc}", file=sys.stderr)

@@ -200,7 +200,9 @@ def _column(values, fmt=str):
     """A column as ``(cells, codes)``.  Ints spanning fewer values than
     rows are their own codes, into cells for 0, 1, ..., max, then min,
     ..., -1 (a negative code counts from the end); other values are
-    formatted once per run of equal neighbours, so once each if sorted."""
+    formatted once per run of equal neighbours, so once each if sorted;
+    floats are equal neighbours only with the same sign bit, since 0.0
+    and -0.0 compare equal but print differently."""
     v = np.asarray(values)
     if v.dtype.kind == "i" and len(v):
         lo, hi = min(int(v.min()), 0), max(int(v.max()), -1)
@@ -208,6 +210,9 @@ def _column(values, fmt=str):
             return list(map(fmt, [*range(hi + 1), *range(lo, 0)])), v
     new = np.ones(len(v), dtype=bool)
     new[1:] = v[1:] != v[:-1]
+    if v.dtype.kind == "f":
+        sign = np.signbit(v)
+        new[1:] |= sign[1:] != sign[:-1]
     return list(map(fmt, v[new].tolist())), np.cumsum(new) - 1
 
 

@@ -464,11 +464,13 @@ def parse_config(text: str) -> ModelSpec:
 
 
 def load_config(path) -> ModelSpec:
-    """The ModelSpec of a config file; a file that is not UTF-8 text is a
-    ConfigError."""
+    """The ModelSpec of a config file; a file that cannot be read, or is
+    not UTF-8 text, is a ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(str(exc)) from None
     return parse_config(text)

@@ -7,10 +7,10 @@ relations hold exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -103,28 +103,80 @@ def sector_permutation_rep() -> np.ndarray:
     return S3.table.copy()
 
 
+# U(p) moves label b of a triple to slot p(b), so t[:, _SLOTS[p]] is U(p) t
+_SLOTS = np.array([[p.index(b) for b in (1, 2, 3)] for p in S3.elements])
+# multisets gathered by one pass of ``orbit_reps``: six triples each
+_BLOCK_TRIPLES = 1 << 16
+
+
+def _orbit_block(labels, sizes):
+    """The core of ``orbit_reps``: ``labels`` is an (R, 3) integer array
+    of multisets, ``sizes`` how many of them each level holds, in order.
+
+    Gathers the six orderings U(p) m of every multiset m and keys each
+    as (level, lexicographic rank), so one ``np.unique`` sorts the
+    distinct triples by level, then lexicographically, and gives each
+    ordering its column.  Since U(g) U(p) m = U(gp) m, the column of
+    U(g) applied to ordering p is that of ordering gp: the index arrays
+    are filled by scattering, with no search.  Returns (perm, triples,
+    bounds): level q owns columns bounds[q]:bounds[q + 1] of perm, whose
+    entries index all columns of the block.
+    """
+    lo = int(labels.min(initial=0))
+    base = int(labels.max(initial=0)) - lo + 1
+    level = np.repeat(np.arange(len(sizes)), sizes)
+    t = labels[:, _SLOTS] - lo  # (R, 6, 3): ordering p of multiset r
+    keys = (level[:, None] * base + t[..., 0]) * base ** 2 \
+        + t[..., 1] * base + t[..., 2]
+    uniq, pos = np.unique(keys.ravel(), return_inverse=True)
+    pos = pos.reshape(keys.shape)
+    perm = np.empty((S3.order, len(uniq)), dtype=np.intp)
+    perm[:, pos.ravel()] = pos[:, S3.table].transpose(1, 0, 2).reshape(
+        S3.order, -1)
+    lex = uniq % base ** 3
+    triples = np.stack([lex // base ** 2, lex // base % base, lex % base],
+                       axis=1) + lo
+    bounds = np.searchsorted(uniq, np.arange(len(sizes) + 1) * base ** 3)
+    return perm, triples, bounds
+
+
+def orbit_reps(levels):
+    """The index arrays ``orbit_rep_for_multisets(ms)[0]`` of each ``ms``
+    in ``levels``, in order.
+
+    Levels are taken in blocks of whole levels, each gathering at most
+    ``_BLOCK_TRIPLES`` triples (six per multiset) unless one level alone
+    gathers more; ``_orbit_block`` builds a block's arrays in one pass.
+    """
+    levels = list(levels)
+    sizes = [len(ms) for ms in levels]
+    starts, gathered = [], math.inf
+    for q, n in enumerate(sizes):
+        if gathered + 6 * n > _BLOCK_TRIPLES:
+            starts.append(q)
+            gathered = 0
+        gathered += 6 * n
+    chain = itertools.chain.from_iterable
+    for start, stop in zip(starts, starts[1:] + [len(levels)]):
+        n = sum(sizes[start:stop])
+        labels = np.fromiter(chain(chain(levels[start:stop])), np.int64,
+                             3 * n).reshape(n, 3)
+        perm, _, bounds = _orbit_block(labels, sizes[start:stop])
+        for a, b in zip(bounds.tolist(), bounds[1:].tolist()):
+            yield perm[:, a:b] - a
+
+
 def orbit_rep_for_multisets(multisets):
     """S3 permutation action on the ordered triples refining ``multisets``.
 
     Returns (perm, triples): the integer (order, d) index arrays of the
     representation U(p)|n1 n2 n3> = |n_{p^-1(1)} n_{p^-1(2)} n_{p^-1(3)}>,
     that is U(p) e_i = e_{perm[p, i]}, and the d distinct ordered
-    triples spanning the degeneracy space of a composed level.
+    triples spanning the degeneracy space of a composed level, sorted.
     """
-    triples = tuple(sorted({t for ms in multisets for t in permutations(ms)}))
-    labels = np.array(triples).reshape(-1, 3)
-    lo = labels.min(initial=0)
-    base = int(labels.max(initial=0)) - int(lo) + 1
-
-    def keys(t):
-        # lexicographic order of the triples is the order of their keys
-        t = t - lo
-        return (t[..., 0] * base + t[..., 1]) * base + t[..., 2]
-
-    # U(p) moves label b of a triple to slot p(b)
-    inverses = np.array([[p.index(b) for b in (1, 2, 3)]
-                         for p in S3.elements])
-    return np.searchsorted(keys(labels), keys(labels[:, inverses]).T), triples
+    labels = np.array(list(multisets), dtype=np.int64).reshape(-1, 3)
+    perm, triples, _ = _orbit_block(labels, [len(labels)])
+    return perm, tuple(map(tuple, triples.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ from pathlib import Path
 import pytest
 
 from threebody1d import HarmonicTrap, ModelSpec, NoInteraction, cli
+from threebody1d.composition import compose_spectrum
 from threebody1d.dynamics import CheckReport
 from threebody1d.errors import ConfigError, NonIntegerMultiplicity
+from threebody1d.models import load_config
 
 GOLDEN = Path(__file__).parent / "golden"
 EMAX = "12"
@@ -219,7 +221,8 @@ def test_unreadable_input_exits_2_with_one_line(case, configs, tmp_path):
         code = cli.main(["spectrum", "--config", str(config), "--model",
                          "noninteracting", "--emax", EMAX, "--out", str(out)])
     assert code == 2
-    assert err.getvalue().startswith("config error: ")
+    assert err.getvalue().startswith(
+        "output error: " if case == "out_is_a_file" else "config error: ")
     assert err.getvalue().count("\n") == 1
     assert out.is_file() == (case == "out_is_a_file")
     assert not out.is_dir()
@@ -240,6 +243,26 @@ def test_irreps_non_representation_exits_3(configs, tmp_path, monkeypatch):
                   "--model", "noninteracting", "--emax", EMAX,
                   "--out", tmp_path)
     assert code == 3
+
+
+def test_irreps_decomposes_each_level_once_whole(configs, tmp_path,
+                                                 monkeypatch):
+    shapes = []
+
+    def recorded(group, perm):
+        shapes.append(perm.shape)
+        return real(group, perm)
+
+    real = cli.decompose_eigenspace
+    monkeypatch.setattr(cli, "decompose_eigenspace", recorded)
+    code, _ = run("irreps", "--config", configs["noninteracting"],
+                  "--model", "noninteracting", "--emax", EMAX,
+                  "--out", tmp_path)
+    assert code == 0
+    spec = load_config(configs["noninteracting"])
+    emax = float(EMAX)
+    levels = compose_spectrum(cli._one_body(spec, emax, 4), emax)
+    assert shapes == [(6, lv.degeneracy) for lv in levels]
 
 
 def test_verify_over_tolerance_exits_3(configs, tmp_path, monkeypatch):

@@ -289,6 +289,13 @@ def test_csv_text_refuses_a_cell_that_needs_quoting(cell):
             _csv_text(header, columns, 1)
 
 
+def test_column_keeps_the_sign_of_zero():
+    # 0.0 == -0.0, but the two print differently
+    cells, codes = _column([0.0, -0.0, -0.0, 0.0], repr)
+    assert cells == ["0.0", "-0.0", "0.0"]
+    assert codes.tolist() == [0, 1, 1, 2]
+
+
 def test_csv_text_with_no_rows_is_its_header():
     empty = np.zeros(0, dtype=int)
     assert _csv_text(["E", "n"], [([], empty), _column(empty)], 0) \

@@ -5,10 +5,11 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threebody1d import jacobi as J
+from threebody1d import symmetry
 from threebody1d.errors import NonIntegerMultiplicity, NonInvariantSubspace
 from threebody1d.models import HarmonicTrap
 from threebody1d.onebody import analytic_spectrum
@@ -20,6 +21,7 @@ from threebody1d.symmetry import (
     decompositions_to_json,
     irrep_towers,
     orbit_rep_for_multisets,
+    orbit_reps,
     sector_permutation_rep,
 )
 
@@ -229,6 +231,46 @@ class TestPermutationMatrices:
         assert perm.shape == (6, 0) and triples == ()
         assert decompose_eigenspace(S3, perm) == dict.fromkeys(S3.irreps, 0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 9), min_size=2, max_size=14).map(sorted)
+           .filter(lambda eps: eps[-1] > eps[0]))
+    def test_orbit_reps_equal_one_level_calls(self, eps):
+        # integer one-body energies, so many levels are accidental; the
+        # window reaches just below the lowest triple holding eps_max
+        levels = compose_spectrum(np.array(eps, float),
+                                  2 * eps[0] + eps[-1] - 1)
+        reps = list(orbit_reps(lv.multisets for lv in levels))
+        assert len(reps) == len(levels)
+        for lv, perm in zip(levels, reps):
+            one, _ = orbit_rep_for_multisets(lv.multisets)
+            assert np.array_equal(perm, one)
+            assert perm.dtype.kind == "i" and perm.shape == (6, lv.degeneracy)
+
+    def test_orbit_reps_blocks_hold_whole_levels(self, monkeypatch):
+        # level N of integer energies 0..11 holds the multisets summing to N
+        levels = compose_spectrum(np.arange(12.0), 10.5)
+        sizes = [len(lv.multisets) for lv in levels]
+        expected = [orbit_rep_for_multisets(lv.multisets)[0] for lv in levels]
+        blocks = []
+
+        def recorded(labels, level_sizes):
+            blocks.append(list(level_sizes))
+            return real(labels, level_sizes)
+
+        real = symmetry._orbit_block
+        monkeypatch.setattr(symmetry, "_orbit_block", recorded)
+        # a cap below every level, a small one, one halfway into level 7
+        for cap in (1, 7, 6 * sum(sizes[:7]) + 3 * sizes[7], 1 << 16):
+            monkeypatch.setattr(symmetry, "_BLOCK_TRIPLES", cap)
+            blocks.clear()
+            reps = list(orbit_reps(lv.multisets for lv in levels))
+            assert all(np.array_equal(a, b) for a, b in zip(reps, expected))
+            assert len(reps) == len(levels)
+            assert sum(blocks, []) == sizes
+            for block in blocks:
+                assert len(block) == 1 or 6 * sum(block) <= cap
+        assert blocks == [sizes]
+
     def test_sector_rep_is_the_multiplication_table(self):
         assert np.array_equal(sector_permutation_rep(), S3.table)
 
@@ -267,6 +309,7 @@ class TestTowers:
         st.one_of(st.floats(-50, 50), st.sampled_from([0.5, 1.5, math.inf])),
         st.dictionaries(st.sampled_from(["[3]", "[21]", "[1^3]"]) | st.text(),
                         st.integers(-9, 9))), max_size=8))
+    @example(decomps=[(0.0, {}), (-0.0, {})])
     def test_json_export_is_json_dumps(self, decomps):
         rows = [{"E": e, "multiplicities": m}
                 for e, m in sorted(decomps, key=lambda t: t[0])]
